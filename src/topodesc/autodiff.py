@@ -12,7 +12,6 @@ and clip passes gradient strictly inside the interval.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularSystemError
 
@@ -322,46 +321,67 @@ def trace_batched(s: Tensor) -> Tensor:
     return _node(s.tape, value, (s,), back)
 
 
-def solve_chol_batched(m: Tensor, rhs: np.ndarray, workers: int = 1) -> Tensor:
-    """Solve M_i x_i = rhs for a stack of symmetric systems via Cholesky.
+def cholesky_failures(m: np.ndarray) -> np.ndarray:
+    """Boolean mask of the systems in a stack (n, k, k) that Cholesky rejects.
 
-    Factorizations run in double precision regardless of the tape dtype and
-    are reused by the backward pass: with g the output adjoint,
-    grad_rhs-side solve gb = M^-1 g gives grad_M = -gb x^T. The right-hand
-    side is a fixed vector, not a graph node.
+    One stacked factorization answers the common case; only when it fails
+    are the systems factored one by one to find which.
+    """
+    try:
+        np.linalg.cholesky(m)
+        return np.zeros(m.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    bad = np.zeros(m.shape[0], dtype=bool)
+    for i in range(m.shape[0]):
+        try:
+            np.linalg.cholesky(m[i])
+        except np.linalg.LinAlgError:
+            bad[i] = True
+    return bad
+
+
+def _cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = b for stacks (n, k, k) and (n, k) by substitution.
+
+    Forward then back substitution, one column per step, each step
+    vectorized over the whole stack.
+    """
+    k = b.shape[1]
+    y = np.empty_like(b)
+    for j in range(k):
+        y[:, j] = (b[:, j] - np.einsum("ni,ni->n", lower[:, j, :j], y[:, :j])) / lower[:, j, j]
+    x = np.empty_like(b)
+    for j in range(k - 1, -1, -1):
+        x[:, j] = (
+            y[:, j] - np.einsum("ni,ni->n", lower[:, j + 1 :, j], x[:, j + 1 :])
+        ) / lower[:, j, j]
+    return x
+
+
+def solve_chol_batched(m: Tensor, rhs: np.ndarray) -> Tensor:
+    """Solve M_i x_i = rhs for a stack of symmetric positive definite systems.
+
+    One stacked Cholesky factorization M_i = L_i L_i^T runs in double
+    precision regardless of the tape dtype, and the backward pass reuses
+    the factors: with g the output adjoint, gb = M^-1 g gives
+    grad_M = -gb x^T. The right-hand side is a fixed vector, not a graph
+    node. A system that is not positive definite raises SingularSystemError
+    naming the first such anchor.
     """
     m64 = np.asarray(m.value, dtype=np.float64)
-    rhs64 = np.asarray(rhs, dtype=np.float64)
-    n, k = m64.shape[0], m64.shape[1]
-    factors: list = [None] * n
-    x64 = np.empty((n, k))
-
-    def factor_one(i: int) -> None:
-        try:
-            factors[i] = cho_factor(m64[i], lower=True)
-        except np.linalg.LinAlgError:
-            raise SingularSystemError(
-                f"symmetric factorization failed for anchor {i}"
-            ) from None
-        x64[i] = cho_solve(factors[i], rhs64)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(factor_one, range(n)))
-    else:
-        for i in range(n):
-            factor_one(i)
-
+    try:
+        lower = np.linalg.cholesky(m64)
+    except np.linalg.LinAlgError:
+        bad = int(np.flatnonzero(cholesky_failures(m64))[0])
+        raise SingularSystemError(f"symmetric factorization failed for anchor {bad}") from None
+    rhs64 = np.broadcast_to(np.asarray(rhs, dtype=np.float64), m64.shape[:2])
+    x64 = _cho_solve(lower, rhs64)
     value = x64.astype(m.value.dtype, copy=False)
 
     def back(g):
-        g64 = np.asarray(g, dtype=np.float64)
-        gm = np.empty_like(m64)
-        for i in range(n):
-            gb = cho_solve(factors[i], g64[i])
-            gm[i] = -np.outer(gb, x64[i])
+        gb = _cho_solve(lower, np.asarray(g, dtype=np.float64))
+        gm = -gb[:, :, None] * x64[:, None, :]
         m._accumulate(gm.astype(m.value.dtype, copy=False))
 
     return _node(m.tape, value, (m,), back)

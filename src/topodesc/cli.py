@@ -1,7 +1,8 @@
 """Command-line interface: generate, train, eval, inspect, gradcheck.
 
 Exit codes: 0 success, 1 check failure, 2 usage or invalid argument,
-3 I/O or file-format error, 4 numerical divergence during training.
+3 I/O or file-format error (an unreadable or malformed input, or an output
+that cannot be written), 4 numerical divergence during training.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument(
         "--lambda-mode", default="dynamic", help="dynamic or fixed:<value in [0,1]>"
     )
-    tr.add_argument("--workers", type=int, default=1)
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -132,11 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args) -> int:
     seed = _env_seed(args.seed)
     ds = datamod.generate(seed, args.scenes, args.dim, args.noise, args.distortion)
-    try:
-        datamod.write_dataset(ds, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    datamod.write_dataset(ds, args.out)
     print(
         f"wrote {args.out}: scenes={ds.scene_count} dim={ds.dim} seed={ds.seed} "
         f"noise_sigma={ds.noise_sigma} distortion={ds.distortion}"
@@ -172,16 +168,12 @@ def cmd_train(args) -> int:
     if not cfg.out_dir:
         print("error: an output directory is required (--out-dir or config file)", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        dataset = datamod.read_dataset(cfg.dataset)
-    except (OSError, DatasetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    dataset = datamod.read_dataset(cfg.dataset)
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config.txt"), "w") as fh:
         fh.write(format_config(cfg))
     try:
-        result = run_training(cfg, dataset, lambda_mode=args.lambda_mode, workers=args.workers)
+        result = run_training(cfg, dataset, lambda_mode=args.lambda_mode)
     except TrainingDivergenceError as exc:
         print(
             f"error: training diverged: {exc}; last good iteration "
@@ -211,11 +203,7 @@ def _load_net_and_data(checkpoint: str, dataset: str):
 
 
 def cmd_eval(args) -> int:
-    try:
-        net, ds = _load_net_and_data(args.checkpoint, args.dataset)
-    except (OSError, DatasetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    net, ds = _load_net_and_data(args.checkpoint, args.dataset)
     if args.split != "all":
         train_ds, heldout_ds = datamod.split_train_heldout(ds)
         ds = heldout_ds if args.split == "heldout" else train_ds
@@ -239,11 +227,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        net, ds = _load_net_and_data(args.checkpoint, args.dataset)
-    except (OSError, DatasetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    net, ds = _load_net_and_data(args.checkpoint, args.dataset)
     batch_size = min(args.batch_size, ds.scene_count)
     rng = np.random.default_rng(_env_seed(args.seed))
     _, batch_a, batch_p = datamod.sample_batch(ds, batch_size, rng)
@@ -306,6 +290,9 @@ def main(argv=None) -> int:
     except (InvalidArgumentError, InvalidBatchError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (OSError, DatasetFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (DegenerateDescriptorError, DegenerateFitError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

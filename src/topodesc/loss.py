@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import knn, linalg, topology
-from .errors import DegenerateFitError, InvalidArgumentError, InvalidBatchError
+from . import knn, topology
+from .errors import InvalidArgumentError, InvalidBatchError
+# affine_weight_values is re-exported: loss-level callers freeze weights with it.
+from .topology import DEFAULT_EPS, affine_weight_values  # noqa: F401
 
 GRADIENT_MODES = ("through-weights", "detached", "off")
 
@@ -191,49 +193,6 @@ def select_structure(va: np.ndarray, vp: np.ndarray, cfg: LossConfig) -> LossStr
     return st
 
 
-def _affine_weights_graph(
-    x: ad.Tensor, idx: np.ndarray, tape: ad.Tape, eps: float, workers: int
-) -> ad.Tensor:
-    """Constrained affine reconstruction weights for every anchor at once.
-
-    Mirrors the scalar fit: S = D D^T from anchor-minus-neighbor differences,
-    Tikhonov term eps * trace(S) / k (plain eps where the trace vanishes),
-    solve against the all-ones vector, then normalize to sum one.
-    """
-    n, k = idx.shape
-    dim = x.value.shape[1]
-    dtype = x.value.dtype
-    nb = ad.take(x, idx)
-    anchors = ad.reshape(x, (n, 1, dim))
-    diffs = ad.sub(anchors, nb)
-    s = ad.gram_batched(diffs)
-    if eps > 0:
-        tr = ad.trace_batched(s)
-        scaled = ad.mul(tr, ad.constant(tape, np.asarray(eps / k, dtype=dtype)))
-        flat_eps = ad.constant(tape, np.full(n, eps, dtype=dtype))
-        scale = ad.where_mask(tr.value != 0, scaled, flat_eps)
-        eye = ad.constant(tape, np.eye(k, dtype=dtype))
-        m = ad.add(s, ad.mul(ad.reshape(scale, (n, 1, 1)), eye))
-    else:
-        m = s
-    y = ad.solve_chol_batched(m, np.ones(k, dtype=dtype), workers=workers)
-    ysum = ad.sum_(y, axis=1, keepdims=True)
-    denom = ysum.value.ravel()
-    if not np.all(np.isfinite(denom)) or np.any(np.abs(denom) < topology.NORMALIZER_FLOOR):
-        bad = int(
-            np.flatnonzero(~np.isfinite(denom) | (np.abs(denom) < topology.NORMALIZER_FLOOR))[0]
-        )
-        raise DegenerateFitError(f"weight normalizer vanished for anchor {bad}")
-    return ad.div(y, ysum)
-
-
-def affine_weight_values(x: np.ndarray, idx: np.ndarray, eps: float = linalg.DEFAULT_EPS) -> np.ndarray:
-    """Value-only batched affine weights (no gradient tracking)."""
-    tape = ad.Tape()
-    xt = ad.constant(tape, x)
-    return _affine_weights_graph(xt, idx, tape, eps, workers=1).value
-
-
 def _row_euclidean(a: ad.Tensor, b: ad.Tensor, tape: ad.Tape) -> ad.Tensor:
     """Unit-descriptor distance per row: sqrt(max(0, 2 - 2 a.b)), dot clamped."""
     dots = ad.clip(ad.sum_(ad.mul(a, b), axis=1), -1.0, 1.0)
@@ -256,8 +215,7 @@ def build_loss_graph(
     cfg: LossConfig,
     structure: LossStructure,
     tape: ad.Tape,
-    eps: float = linalg.DEFAULT_EPS,
-    workers: int = 1,
+    eps: float = DEFAULT_EPS,
 ) -> LossGraph:
     """Assemble the full batch objective on the tape.
 
@@ -284,8 +242,8 @@ def build_loss_graph(
             weights_a = ad.constant(tape, structure.frozen_wa)
             weights_p = ad.constant(tape, structure.frozen_wp)
         else:
-            weights_a = _affine_weights_graph(desc_a, structure.idx_a, tape, eps, workers)
-            weights_p = _affine_weights_graph(desc_p, structure.idx_p, tape, eps, workers)
+            weights_a = topology.affine_weights(desc_a, ad.take(desc_a, structure.idx_a), eps)
+            weights_p = topology.affine_weights(desc_p, ad.take(desc_p, structure.idx_p), eps)
             if cfg.topology_gradient_mode == "detached":
                 weights_a = ad.detach(weights_a)
                 weights_p = ad.detach(weights_p)
@@ -320,8 +278,7 @@ def batch_loss(
     vp: np.ndarray,
     iteration: int,
     cfg: LossConfig,
-    eps: float = linalg.DEFAULT_EPS,
-    workers: int = 1,
+    eps: float = DEFAULT_EPS,
 ) -> LossReport:
     """Loss and diagnostics for fixed descriptor arrays (no training state)."""
     lam = 1.0 if cfg.topology_gradient_mode == "off" else lambda_schedule(iteration, cfg)
@@ -335,6 +292,5 @@ def batch_loss(
         structure,
         tape,
         eps=eps,
-        workers=workers,
     )
     return graph.report

@@ -4,18 +4,24 @@ Each descriptor is fitted as the best affine (sum-to-one) combination of its
 k nearest neighbors; the fitted weights, scattered to the neighbors' batch
 positions, form a sparse length-n topology vector. A quarter of the l1
 distance between two such vectors is the topology distance.
+
+``affine_weights`` is the only implementation of the fit. Training runs it on
+the autodiff tape; ``fit_weights``, ``batch_topology_vectors`` and
+``affine_weight_values`` call it on constants.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import autodiff as ad
+from . import knn
 from .errors import DegenerateFitError, InvalidInputError
-from .knn import top_k_within
+
+# Trace-relative Tikhonov term used when a caller does not pick its own.
+DEFAULT_EPS = 1e-3
 
 # Fits whose normalizer 1' S^-1 1 is smaller than this are rejected.
 NORMALIZER_FLOOR = 1e-300
@@ -48,17 +54,65 @@ class TopologyVector:
         return dense
 
 
+def affine_weights(
+    anchors: ad.Tensor, neighbors: ad.Tensor, eps: float = DEFAULT_EPS
+) -> ad.Tensor:
+    """Best affine combination of each anchor's k neighbors, for n anchors at once.
+
+    anchors is (n, dim) and neighbors (n, k, dim). Per anchor this minimizes
+    ||anchor - sum_j w_j neighbor_j||^2 subject to sum_j w_j = 1 through the
+    closed form w = M^-1 1 / (1' M^-1 1), where S is the bitwise symmetric
+    Gram matrix of the (anchor - neighbor_j) differences and
+    M = S + eps * trace(S) / k * I, or S + eps * I where trace(S) == 0. The
+    trace-relative term keeps the conditioning scale-free.
+
+    With eps == 0 each system is first tried plain; a system whose Cholesky
+    factorization fails is solved with DEFAULT_EPS instead, and only that
+    system. A system that still fails raises SingularSystemError; a
+    vanishing normalizer raises DegenerateFitError.
+    """
+    if eps < 0.0:
+        raise InvalidInputError(f"eps must be >= 0, got {eps}")
+    tape = anchors.tape
+    n, k, dim = neighbors.value.shape
+    dtype = neighbors.value.dtype
+    diffs = ad.sub(ad.reshape(anchors, (n, 1, dim)), neighbors)
+    s = ad.gram_batched(diffs)
+    eps_per_system = np.full(n, eps)
+    if eps == 0.0:
+        eps_per_system[ad.cholesky_failures(np.asarray(s.value, dtype=np.float64))] = DEFAULT_EPS
+    tr = ad.trace_batched(s)
+    scaled = ad.mul(tr, ad.constant(tape, (eps_per_system / k).astype(dtype)))
+    flat_eps = ad.constant(tape, eps_per_system.astype(dtype))
+    scale = ad.where_mask(tr.value != 0, scaled, flat_eps)
+    eye = ad.constant(tape, np.eye(k, dtype=dtype))
+    m = ad.add(s, ad.mul(ad.reshape(scale, (n, 1, 1)), eye))
+    y = ad.solve_chol_batched(m, np.ones(k, dtype=dtype))
+    ysum = ad.sum_(y, axis=1, keepdims=True)
+    denom = ysum.value.ravel()
+    bad = ~np.isfinite(denom) | (np.abs(denom) < NORMALIZER_FLOOR)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise DegenerateFitError(f"weight normalizer 1'S^-1'1 = {denom[i]} for anchor {i}")
+    return ad.div(y, ysum)
+
+
+def affine_weight_values(x: np.ndarray, idx: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Value-only affine weights (n, k) of every row of x over its rows idx."""
+    tape = ad.Tape()
+    return affine_weights(ad.constant(tape, x), ad.constant(tape, x[idx]), eps).value
+
+
 def fit_weights(
     anchor: np.ndarray,
     neighbors: np.ndarray,
-    eps: float = linalg.DEFAULT_EPS,
+    eps: float = DEFAULT_EPS,
     anchor_index: int = 0,
 ) -> LleWeights:
-    """Best affine combination of the neighbors reconstructing the anchor.
+    """Affine fit of one anchor over its k neighbors, in double precision.
 
-    Minimizes ||anchor - sum_j w_j neighbor_j||^2 subject to sum_j w_j = 1,
-    through the closed form w = S^-1 1 / (1' S^-1 1) where S is the Gram
-    matrix of (anchor - neighbor_j) differences, conditioned per linalg.
+    A batch of one for affine_weights, which documents the fit; anchor_index
+    only labels the result.
     """
     anchor = np.asarray(anchor, dtype=np.float64)
     neighbors = np.asarray(neighbors, dtype=np.float64)
@@ -66,21 +120,15 @@ def fit_weights(
         raise InvalidInputError(
             f"anchor of dim {anchor.shape} does not match neighbors {neighbors.shape}"
         )
-    k = neighbors.shape[0]
-    if k < 1:
+    if neighbors.shape[0] < 1:
         raise InvalidInputError("at least one neighbor is required")
+    if not np.isfinite(anchor).all() or not np.isfinite(neighbors).all():
+        raise InvalidInputError("fit input contains non-finite entries")
 
-    diffs = anchor[None, :] - neighbors
-    s = linalg.gram(diffs)
-    ones = np.ones(k)
-    y = linalg.solve_spd_regularized(s, ones, eps).solution
-    denom = float(ones @ y)
-    if not np.isfinite(denom) or abs(denom) < NORMALIZER_FLOOR:
-        raise DegenerateFitError(
-            f"weight normalizer 1'S^-1'1 = {denom} for anchor {anchor_index}"
-        )
-    w = y / denom
-    residual = linalg.l2_norm(anchor - w @ neighbors)
+    tape = ad.Tape()
+    fit = affine_weights(ad.constant(tape, anchor[None]), ad.constant(tape, neighbors[None]), eps)
+    w = fit.value[0]
+    residual = float(np.linalg.norm(anchor - w @ neighbors))
     return LleWeights(anchor_index=anchor_index, weights=w, residual=residual)
 
 
@@ -123,24 +171,10 @@ def topology_distance(ta: TopologyVector, tp: TopologyVector) -> float:
 
 
 def batch_topology_vectors(
-    x: np.ndarray, k: int, eps: float = linalg.DEFAULT_EPS, workers: int = 1
+    x: np.ndarray, k: int, eps: float = DEFAULT_EPS
 ) -> list[TopologyVector]:
-    """Topology vector of every descriptor within one set.
-
-    Per-anchor fits are independent; with workers > 1 they run on a thread
-    pool and are merged back by index, so the result does not depend on the
-    worker count.
-    """
+    """Topology vector of every descriptor within one set, from one batched fit."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    neighbor_sets = top_k_within(x, k)
-
-    def fit_one(i: int) -> TopologyVector:
-        idx = neighbor_sets[i].neighbor_indices
-        w = fit_weights(x[i], x[idx], eps, anchor_index=i)
-        return topology_vector(w, idx, n)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fit_one, range(n)))
-    return [fit_one(i) for i in range(n)]
+    idx = knn.neighbor_index_matrix(x, k)
+    w = affine_weight_values(x, idx, eps)
+    return [TopologyVector(length=x.shape[0], support=idx[i], values=w[i]) for i in range(len(x))]

@@ -74,14 +74,13 @@ def run_training(
     cfg: RunConfig,
     dataset: datamod.DatasetFile | None = None,
     lambda_mode: str = "dynamic",
-    workers: int = 1,
 ) -> TrainResult:
     """Train a fresh net on the training split of the dataset.
 
-    Fully deterministic for a fixed (cfg, lambda_mode) in single-worker
-    mode: initialization and batch sampling use independent child seeds of
-    cfg.seed. Raises TrainingDivergenceError the first time descriptors or
-    the loss stop being finite.
+    Fully deterministic for a fixed (cfg, lambda_mode): initialization and
+    batch sampling use independent child seeds of cfg.seed. Raises
+    TrainingDivergenceError the first time descriptors or the loss stop
+    being finite.
     """
     if dataset is None:
         dataset = datamod.read_dataset(cfg.dataset)
@@ -106,9 +105,7 @@ def run_training(
             desc_a, _ = netmod.forward(net, batch_a, tape, leaves)
             desc_p, _ = netmod.forward(net, batch_p, tape, leaves)
             structure = lossmod.select_structure(desc_a.value, desc_p.value, loss_cfg)
-            graph = lossmod.build_loss_graph(
-                desc_a, desc_p, lam, loss_cfg, structure, tape, workers=workers
-            )
+            graph = lossmod.build_loss_graph(desc_a, desc_p, lam, loss_cfg, structure, tape)
         except (DegenerateDescriptorError, DegenerateFitError, SingularSystemError) as exc:
             raise TrainingDivergenceError(str(exc), i - 1) from exc
         if not np.isfinite(graph.loss.value):

@@ -246,15 +246,6 @@ class TestBatchedFitOps:
         with pytest.raises(SingularSystemError, match="anchor 1"):
             ad.solve_chol_batched(ad.constant(tape, m), np.ones(2))
 
-    def test_solve_workers_match_sequential(self):
-        rng = np.random.default_rng(16)
-        d = rng.standard_normal((8, 4, 6))
-        m = d @ d.transpose(0, 2, 1) + np.eye(4)
-        tape = ad.Tape()
-        seq = ad.solve_chol_batched(ad.constant(tape, m), np.ones(4), workers=1)
-        par = ad.solve_chol_batched(ad.constant(tape, m), np.ones(4), workers=4)
-        np.testing.assert_array_equal(seq.value, par.value)
-
 
 class TestBackwardEngine:
     def test_empty_tape_is_noop(self):

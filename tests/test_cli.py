@@ -132,6 +132,13 @@ class TestGenerate:
         assert code == 2
         assert "at least 2 scenes" in capsys.readouterr().err
 
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["generate", "--scenes", "4", "--dim", "3", "--out", str(blocker / "x.tcpd")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a = tmp_path / "env.tcpd"
         b = tmp_path / "flag.tcpd"
@@ -175,6 +182,15 @@ class TestTrain:
             ["train", "--dataset", str(tmp_path / "missing.tcpd"), "--out-dir", str(tmp_path / "o")]
         )
         assert code == 3
+
+    def test_out_dir_under_regular_file_is_io_error(self, workspace, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(
+            ["train", "--dataset", str(workspace["noisy"]), "--out-dir", str(blocker / "run")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_same_seed_reproduces_checkpoint_bytes(self, workspace, tmp_path):
         outs = []

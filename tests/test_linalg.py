@@ -1,4 +1,10 @@
-"""Tests for the small symmetric solver layer."""
+"""Tests for the linear algebra of the affine-fit kernel.
+
+The Gram matrix, the regularized system and its Cholesky solve all live in
+the one batched fit, ``topology.affine_weights``, and the autodiff ops it
+runs; these tests reach them there. The system handed to the solver is
+observed by wrapping ``autodiff.solve_chol_batched``.
+"""
 
 import math
 
@@ -7,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topodesc import linalg
+from topodesc import autodiff as ad
+from topodesc import topology
 from topodesc.errors import InvalidInputError, SingularSystemError
 
 
@@ -21,6 +28,39 @@ def gram_bruteforce(diffs):
     return s
 
 
+def gram(diffs):
+    """gram_batched on a single difference matrix (k, dim)."""
+    return ad.gram_batched(ad.constant(ad.Tape(), diffs[None])).value[0]
+
+
+def solve(m, rhs):
+    """solve_chol_batched on a single system."""
+    return ad.solve_chol_batched(ad.constant(ad.Tape(), m[None]), rhs).value[0]
+
+
+def fitted_system(monkeypatch, diffs, eps):
+    """The system M the fit solves, and its solution y, for one anchor.
+
+    The anchor is the origin and the neighbors are -diffs, so the fit's
+    differences are exactly diffs.
+    """
+    seen = []
+    real = ad.solve_chol_batched
+
+    def spy(m, rhs):
+        out = real(m, rhs)
+        seen.append((m.value.copy(), out.value.copy()))
+        return out
+
+    monkeypatch.setattr(ad, "solve_chol_batched", spy)
+    tape = ad.Tape()
+    anchors = np.zeros((1, diffs.shape[1]))
+    topology.affine_weights(ad.constant(tape, anchors), ad.constant(tape, -diffs[None]), eps)
+    assert len(seen) == 1
+    m, y = seen[0]
+    return m[0], y[0]
+
+
 class TestGram:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(11)
@@ -29,119 +69,120 @@ class TestGram:
             d = int(rng.integers(1, 17))
             diffs = rng.standard_normal((k, d))
             np.testing.assert_allclose(
-                linalg.gram(diffs), gram_bruteforce(diffs), rtol=1e-12, atol=1e-12
+                gram(diffs), gram_bruteforce(diffs), rtol=1e-12, atol=1e-12
             )
 
     def test_bitwise_symmetric(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            s = linalg.gram(rng.standard_normal((6, 3)))
+            s = gram(rng.standard_normal((6, 3)))
             assert np.array_equal(s, s.T)
 
     def test_rejects_non_finite(self):
-        diffs = np.ones((3, 2))
-        diffs[1, 0] = np.nan
+        neighbors = np.ones((3, 2))
+        neighbors[1, 0] = np.nan
         with pytest.raises(InvalidInputError):
-            linalg.gram(diffs)
+            topology.fit_weights(np.zeros(2), neighbors)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(InvalidInputError):
-            linalg.gram(np.ones(4))
+            topology.fit_weights(np.zeros(4), np.ones(4))
 
 
 class TestRegularizedSystem:
-    def test_trace_relative_term(self):
-        s = np.array([[2.0, 0.0], [0.0, 6.0]])
-        out = linalg.regularized_system(s, 0.5)
+    def test_trace_relative_term(self, monkeypatch):
+        # S = diag(2, 6)
+        diffs = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 2.0]])
+        m, _ = fitted_system(monkeypatch, diffs, 0.5)
         # trace 8, k 2 -> adds 0.5 * 4 = 2 on the diagonal
-        np.testing.assert_allclose(out, np.array([[4.0, 0.0], [0.0, 8.0]]))
+        np.testing.assert_allclose(m, np.array([[4.0, 0.0], [0.0, 8.0]]))
 
-    def test_zero_trace_falls_back_to_plain_eps(self):
-        s = np.zeros((3, 3))
-        out = linalg.regularized_system(s, 1e-3)
-        np.testing.assert_allclose(out, 1e-3 * np.eye(3))
+    def test_zero_trace_falls_back_to_plain_eps(self, monkeypatch):
+        m, _ = fitted_system(monkeypatch, np.zeros((3, 3)), 1e-3)
+        np.testing.assert_allclose(m, 1e-3 * np.eye(3))
 
-    def test_eps_zero_is_identity_transform(self):
-        s = np.array([[1.0, 0.5], [0.5, 2.0]])
-        assert np.array_equal(linalg.regularized_system(s, 0.0), s)
+    def test_eps_zero_is_identity_transform(self, monkeypatch):
+        # S = [[1, 0.5], [0.5, 1.25]]
+        diffs = np.array([[1.0, 0.0], [0.5, 1.0]])
+        m, _ = fitted_system(monkeypatch, diffs, 0.0)
+        assert np.array_equal(m, np.array([[1.0, 0.5], [0.5, 1.25]]))
 
 
 class TestSolve:
     def test_matches_dense_inverse_for_small_systems(self):
-        """Well-conditioned eps=0 solves agree with explicit inversion."""
+        """Well-conditioned solves agree with explicit inversion."""
         rng = np.random.default_rng(21)
         for k in [1, 2, 3, 5, 8, 13, 21, 32]:
             a = rng.standard_normal((k, k + 4))
             s = a @ a.T + np.eye(k)
             rhs = rng.standard_normal(k)
-            got = linalg.solve_spd_regularized(s, rhs, eps=0.0)
             want = np.linalg.inv(s) @ rhs
-            np.testing.assert_allclose(got.solution, want, rtol=1e-10)
-            assert not got.conditioning_applied
-            assert got.regularizer_eps == 0.0
+            np.testing.assert_allclose(solve(s, rhs), want, rtol=1e-10)
 
     def test_explicit_two_by_two(self):
         s = np.array([[2.0, 1.0], [1.0, 2.0]])
-        rhs = np.ones(2)
-        got = linalg.solve_spd_regularized(s, rhs, eps=0.0)
         # inverse of [[2,1],[1,2]] is [[2,-1],[-1,2]]/3; times ones -> 1/3, 1/3
-        np.testing.assert_allclose(got.solution, np.array([1 / 3, 1 / 3]), rtol=1e-14)
+        np.testing.assert_allclose(solve(s, np.ones(2)), np.array([1 / 3, 1 / 3]), rtol=1e-14)
 
-    def test_eps_zero_retries_with_default(self):
+    def test_eps_zero_retries_with_default(self, monkeypatch):
         # rank-1 matrix: plain Cholesky fails, the conditioned retry succeeds
         v = np.array([1.0, 2.0, 3.0])
         s = np.outer(v, v)
-        got = linalg.solve_spd_regularized(s, np.ones(3), eps=0.0)
-        assert got.conditioning_applied
-        assert got.regularizer_eps == linalg.DEFAULT_EPS
-        m = linalg.regularized_system(s, linalg.DEFAULT_EPS)
-        np.testing.assert_allclose(m @ got.solution, np.ones(3), rtol=1e-8)
+        m, y = fitted_system(monkeypatch, v[:, None], 0.0)
+        np.testing.assert_allclose(m, s + topology.DEFAULT_EPS * 14.0 / 3 * np.eye(3))
+        np.testing.assert_allclose(m @ y, np.ones(3), rtol=1e-8)
 
-    def test_positive_eps_marks_conditioning(self):
-        s = np.eye(2) * 4.0
-        got = linalg.solve_spd_regularized(s, np.ones(2), eps=0.5)
-        assert got.conditioning_applied
+    def test_positive_eps_marks_conditioning(self, monkeypatch):
+        # S = 4 I is well conditioned; eps > 0 still regularizes it
+        m, y = fitted_system(monkeypatch, np.array([[2.0, 0.0], [0.0, 2.0]]), 0.5)
         # regularized matrix is 4 + 0.5*4 = 6 on the diagonal
-        np.testing.assert_allclose(got.solution, np.full(2, 1 / 6), rtol=1e-14)
+        np.testing.assert_allclose(m, 6.0 * np.eye(2), rtol=1e-14)
+        np.testing.assert_allclose(y, np.full(2, 1 / 6), rtol=1e-14)
 
     def test_hopeless_matrix_raises(self):
         with pytest.raises(SingularSystemError):
-            linalg.solve_spd_regularized(-np.eye(3), np.ones(3), eps=1e-3)
+            solve(-np.eye(3), np.ones(3))
 
     def test_shape_validation(self):
         with pytest.raises(InvalidInputError):
-            linalg.solve_spd_regularized(np.ones((2, 3)), np.ones(2), eps=0.0)
+            topology.fit_weights(np.ones(2), np.ones((2, 3)))
         with pytest.raises(InvalidInputError):
-            linalg.solve_spd_regularized(np.eye(2), np.ones(3), eps=0.0)
+            topology.fit_weights(np.ones(3), np.ones((2, 2)))
         with pytest.raises(InvalidInputError):
-            linalg.solve_spd_regularized(np.eye(2), np.ones(2), eps=-1.0)
+            topology.fit_weights(np.ones(2), np.eye(2), eps=-1.0)
 
     def test_rejects_non_finite(self):
-        s = np.eye(2)
-        s[0, 0] = np.inf
+        anchor = np.zeros(2)
+        anchor[0] = np.inf
         with pytest.raises(InvalidInputError):
-            linalg.solve_spd_regularized(s, np.ones(2), eps=0.0)
+            topology.fit_weights(anchor, np.eye(2), eps=0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 16))
     def test_residual_property(self, seed, k):
-        """The returned solution solves the (possibly regularized) system."""
+        """The returned solution solves the regularized system."""
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((k, k + 2))
         s = a @ a.T + 0.1 * np.eye(k)
         rhs = rng.standard_normal(k)
-        got = linalg.solve_spd_regularized(s, rhs, eps=1e-3)
-        m = linalg.regularized_system(s, 1e-3)
-        np.testing.assert_allclose(m @ got.solution, rhs, rtol=1e-7, atol=1e-9)
+        m = s + 1e-3 * np.trace(s) / k * np.eye(k)
+        np.testing.assert_allclose(m @ solve(m, rhs), rhs, rtol=1e-7, atol=1e-9)
 
 
 class TestL2Norm:
     def test_against_fsum(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            v = rng.standard_normal(int(rng.integers(1, 50)))
+            dim = int(rng.integers(1, 50))
+            anchor = rng.standard_normal(dim)
+            neighbor = rng.standard_normal(dim)
+            # a single neighbor is forced to weight 1, so the residual is
+            # the norm of anchor - neighbor
+            v = anchor - neighbor
             want = math.sqrt(math.fsum(float(x) * float(x) for x in v))
-            assert abs(linalg.l2_norm(v) - want) <= 1e-12 * max(1.0, want)
+            got = topology.fit_weights(anchor, neighbor[None]).residual
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
 
     def test_zero_vector(self):
-        assert linalg.l2_norm(np.zeros(5)) == 0.0
+        anchor = np.array([0.5, -1.0, 2.0, 0.0, 3.0])
+        assert topology.fit_weights(anchor, anchor[None]).residual == 0.0

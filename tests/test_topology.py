@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topodesc import autodiff as ad
 from topodesc import topology
 from topodesc.errors import InvalidInputError
 from topodesc.knn import top_k_within
@@ -74,6 +75,34 @@ class TestFitWeights:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             topology.fit_weights(np.ones(3), np.ones((2, 4)))
+
+    def test_eps_zero_regularizes_only_the_singular_system(self):
+        # one stack: S = diag(1, 9); S = [[1, 2], [2, 4]] (rank one, trace 5);
+        # S = 0 (zero trace)
+        anchors = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+        neighbors = np.array(
+            [[[1.0, 0.0], [0.0, 3.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]]
+        )
+
+        def fit(eps):
+            tape = ad.Tape()
+            return topology.affine_weights(
+                ad.constant(tape, anchors), ad.constant(tape, neighbors), eps
+            ).value
+
+        w = fit(0.0)
+        # well conditioned: the plain system, no regularizer
+        np.testing.assert_allclose(w[0], [0.9, 0.1], rtol=1e-14)
+        # singular: retried with the trace-relative DEFAULT_EPS term
+        m = np.array([[1.0, 2.0], [2.0, 4.0]]) + topology.DEFAULT_EPS * 5.0 / 2 * np.eye(2)
+        y = np.linalg.solve(m, np.ones(2))
+        np.testing.assert_allclose(w[1], y / y.sum(), rtol=1e-12)
+        assert w[1].min() < 0
+        # zero trace: plain DEFAULT_EPS on the diagonal
+        np.testing.assert_allclose(w[2], [0.5, 0.5], rtol=1e-14)
+        # eps > 0 adds eps * trace / k to every system: diag(1, 9) -> diag(3.5, 11.5)
+        y = np.array([1 / 3.5, 1 / 11.5])
+        np.testing.assert_allclose(fit(0.5)[0], y / y.sum(), rtol=1e-14)
 
 
 class TestTopologyVector:
@@ -179,12 +208,3 @@ class TestBatchTopologyVectors:
         for i, tv in enumerate(vectors):
             np.testing.assert_allclose(tv.values.sum(), 1.0, atol=1e-8)
             np.testing.assert_array_equal(tv.support, sets[i].neighbor_indices)
-
-    def test_workers_do_not_change_results(self):
-        rng = np.random.default_rng(31)
-        x = unit_rows(rng, 12, 5)
-        seq = topology.batch_topology_vectors(x, 3, workers=1)
-        par = topology.batch_topology_vectors(x, 3, workers=4)
-        for a, b in zip(seq, par):
-            np.testing.assert_array_equal(a.support, b.support)
-            np.testing.assert_array_equal(a.values, b.values)
