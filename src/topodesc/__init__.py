@@ -17,12 +17,11 @@ from .errors import (
     SingularSystemError,
 )
 from .gradcheck import GradCheckReport, grad_check
-from .knn import NeighborSet, pairwise_distances, top_k_within
+from .knn import pairwise_distances
 from .loss import (
     LossConfig,
     LossReport,
     batch_loss,
-    hardest_negative,
     lambda_schedule,
     positive_distance,
 )
@@ -59,13 +58,10 @@ __all__ = [
     "SingularSystemError",
     "GradCheckReport",
     "grad_check",
-    "NeighborSet",
     "pairwise_distances",
-    "top_k_within",
     "LossConfig",
     "LossReport",
     "batch_loss",
-    "hardest_negative",
     "lambda_schedule",
     "positive_distance",
     "LabeledDistance",

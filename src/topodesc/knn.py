@@ -7,26 +7,11 @@ O(n^2 D) is fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidInputError
 
 UNIT_NORM_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """The k nearest other members of a batch, nearest first.
-
-    Ties in distance are broken toward the lower index; the anchor itself
-    is never included.
-    """
-
-    anchor_index: int
-    neighbor_indices: np.ndarray
-    neighbor_distances: np.ndarray
 
 
 def _check_unit_rows(x: np.ndarray, name: str) -> None:
@@ -42,8 +27,8 @@ def _check_unit_rows(x: np.ndarray, name: str) -> None:
 def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """All-pairs Euclidean distances between rows of two unit-row matrices.
 
-    Entry (i, j) is sqrt(max(0, 2 - 2 x_i.y_j)); dot products are clamped to
-    [-1, 1] first so rounding just above 1 cannot produce NaN.
+    Entry (i, j) is sqrt(2 - 2 x_i.y_j); dot products are clamped to [-1, 1]
+    first, so 2 - 2 x_i.y_j is exactly >= 0 and rounding cannot produce NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -58,14 +43,14 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     _check_unit_rows(x, "first set")
     _check_unit_rows(y, "second set")
     dots = np.clip(x @ y.T, -1.0, 1.0)
-    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots))
+    return np.sqrt(2.0 - 2.0 * dots)
 
 
-def top_k_within(x: np.ndarray, k: int) -> list[NeighborSet]:
-    """k nearest neighbors of every row within one descriptor set.
+def neighbor_index_matrix(x: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) indices of the k nearest other rows of x, nearest first.
 
     Self-matches are excluded; equal distances resolve to the lower index
-    so repeated runs and reference sorts agree exactly.
+    (a stable sort), so repeated runs and reference sorts agree exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -73,19 +58,5 @@ def top_k_within(x: np.ndarray, k: int) -> list[NeighborSet]:
         raise InvalidArgumentError(f"k must be in [1, n-1] = [1, {n - 1}], got {k}")
     dist = pairwise_distances(x, x)
     np.fill_diagonal(dist, np.inf)
-    out = []
-    for i in range(n):
-        order = np.argsort(dist[i], kind="stable")[:k]
-        out.append(
-            NeighborSet(
-                anchor_index=i,
-                neighbor_indices=order.copy(),
-                neighbor_distances=dist[i, order].copy(),
-            )
-        )
-    return out
-
-
-def neighbor_index_matrix(x: np.ndarray, k: int) -> np.ndarray:
-    """Stacked (n, k) neighbor indices from top_k_within."""
-    return np.stack([ns.neighbor_indices for ns in top_k_within(x, k)])
+    # copy, so the result does not pin the whole (n, n) argsort buffer
+    return np.argsort(dist, axis=1, kind="stable")[:, :k].copy()

@@ -95,27 +95,23 @@ def positive_distance(d_euclid: float, d_topo: float, lam: float) -> float:
     return lam * d_euclid + (1.0 - lam) * d_topo
 
 
-def hardest_negative(i: int, cross: np.ndarray) -> tuple[float, int, int]:
-    """Smallest cross-set distance involving index i, excluding the match.
+def hardest_negatives(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hardest in-batch negative pair (neg_u[i], neg_v[i]) for every anchor i.
 
-    cross[i, j] is the distance between anchor i and positive j. Returns
-    (distance, anchor_row, positive_row) of the winning non-matching pair.
-    Ties break toward the anchor's own row, then the lower index.
+    cross[i, j] is the distance between anchor i and positive j. Anchor i's
+    negative is the smallest off-diagonal entry in row i or column i. Ties
+    break toward the anchor's own row, then the lower index.
     """
     n = cross.shape[0]
     if n < 2:
         raise InvalidBatchError(f"need a batch of >= 2 to mine negatives, got {n}")
-    if not 0 <= i < n:
-        raise InvalidArgumentError(f"index {i} out of range for batch of {n}")
-    row = cross[i].copy()
-    row[i] = np.inf
-    col = cross[:, i].copy()
-    col[i] = np.inf
-    j = int(np.argmin(row))
-    m = int(np.argmin(col))
-    if row[j] <= col[m]:
-        return float(row[j]), i, j
-    return float(col[m]), m, i
+    masked = cross.copy()
+    np.fill_diagonal(masked, np.inf)
+    row_j = np.argmin(masked, axis=1)
+    col_m = np.argmin(masked, axis=0)
+    rows = np.arange(n)
+    use_row = masked[rows, row_j] <= masked[col_m, rows]
+    return np.where(use_row, rows, col_m), np.where(use_row, row_j, rows)
 
 
 @dataclass
@@ -148,12 +144,10 @@ def _union_gathers(idx_a: np.ndarray, idx_p: np.ndarray, n: int, dtype) -> tuple
     lands at union position m; unions shorter than 2k are padded with the
     out-of-range index n, whose indicator row is all zero on both sides.
     """
-    m, k = idx_a.shape
-    width = 2 * k
-    unions = np.full((m, width), n, dtype=np.int64)
-    for i in range(m):
-        u = np.unique(np.concatenate([idx_a[i], idx_p[i]]))
-        unions[i, : u.size] = u
+    both = np.sort(np.concatenate([idx_a, idx_p], axis=1), axis=1)
+    # Each repeat becomes the pad index n; a second sort moves pads to the end.
+    both[:, 1:][both[:, 1:] == both[:, :-1]] = n
+    unions = np.sort(both, axis=1)
     gather_a = (unions[:, :, None] == idx_a[:, None, :]).astype(dtype)
     gather_p = (unions[:, :, None] == idx_p[:, None, :]).astype(dtype)
     return gather_a, gather_p
@@ -170,19 +164,7 @@ def select_structure(va: np.ndarray, vp: np.ndarray, cfg: LossConfig) -> LossStr
     if va.shape != vp.shape:
         raise InvalidBatchError(f"descriptor sets must match, got {va.shape} vs {vp.shape}")
     n = va.shape[0]
-    if n < 2:
-        raise InvalidBatchError(f"need a batch of >= 2, got {n}")
-    cross = knn.pairwise_distances(va, vp)
-    masked = cross.copy()
-    np.fill_diagonal(masked, np.inf)
-    row_j = np.argmin(masked, axis=1)
-    col_m = np.argmin(masked, axis=0)
-    rows = np.arange(n)
-    row_val = masked[rows, row_j]
-    col_val = masked[col_m, rows]
-    use_row = row_val <= col_val
-    neg_u = np.where(use_row, rows, col_m)
-    neg_v = np.where(use_row, row_j, rows)
+    neg_u, neg_v = hardest_negatives(knn.pairwise_distances(va, vp))
     st = LossStructure(n=n, k=cfg.k, neg_u=neg_u, neg_v=neg_v)
     if cfg.topology_gradient_mode != "off":
         if not cfg.k <= n - 1:

@@ -115,6 +115,8 @@ def run_training(
         state = netmod.sgd_step(
             net, grads, learning_rate(i, cfg), MOMENTUM, WEIGHT_DECAY, state
         )
+        # Tensor.tape and Tape.nodes form a cycle; break it so the step's graph is freed now.
+        tape.nodes.clear()
         rows.append(graph.report)
     return TrainResult(net=net, rows=rows)
 

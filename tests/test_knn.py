@@ -87,31 +87,33 @@ class TestTopKWithin:
                 x[1] = x[0]
                 x[n - 1] = x[n - 2]
             k = int(rng.integers(1, n))
-            got = knn.top_k_within(x, k)
+            got = knn.neighbor_index_matrix(x, k)
             want = topk_bruteforce(x, k)
+            assert got.shape == (n, k)
             for i in range(n):
-                assert got[i].anchor_index == i
-                np.testing.assert_array_equal(got[i].neighbor_indices, want[i])
+                np.testing.assert_array_equal(got[i], want[i])
 
     def test_excludes_self_even_with_duplicates(self):
         x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        got = knn.top_k_within(x, 2)
-        for i, ns in enumerate(got):
-            assert i not in ns.neighbor_indices
+        got = knn.neighbor_index_matrix(x, 2)
+        for i, row in enumerate(got):
+            assert i not in row
 
     def test_distances_sorted_and_consistent(self):
         rng = np.random.default_rng(8)
         x = unit_rows(rng, 10, 4)
-        for ns in knn.top_k_within(x, 5):
-            d = ns.neighbor_distances
+        idx = knn.neighbor_index_matrix(x, 5)
+        dist = knn.pairwise_distances(x, x)
+        for i in range(10):
+            d = dist[i, idx[i]]
             assert np.all(np.diff(d) >= 0)
 
     def test_k_out_of_range(self):
         x = np.eye(4)
         with pytest.raises(InvalidArgumentError):
-            knn.top_k_within(x, 0)
+            knn.neighbor_index_matrix(x, 0)
         with pytest.raises(InvalidArgumentError):
-            knn.top_k_within(x, 4)
+            knn.neighbor_index_matrix(x, 4)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -124,13 +126,11 @@ class TestTopKWithin:
         perm = rng.permutation(n)
         inv = np.empty(n, dtype=np.int64)
         inv[perm] = np.arange(n)
-        base = knn.top_k_within(x, k)
-        shuffled = knn.top_k_within(x[perm], k)
+        base = knn.neighbor_index_matrix(x, k)
+        shuffled = knn.neighbor_index_matrix(x[perm], k)
         for new_i in range(n):
             old_i = perm[new_i]
-            np.testing.assert_array_equal(
-                inv[base[old_i].neighbor_indices], shuffled[new_i].neighbor_indices
-            )
+            np.testing.assert_array_equal(inv[base[old_i]], shuffled[new_i])
 
 
 class TestNeighborIndexMatrix:
@@ -138,6 +138,7 @@ class TestNeighborIndexMatrix:
         rng = np.random.default_rng(9)
         x = unit_rows(rng, 8, 3)
         mat = knn.neighbor_index_matrix(x, 3)
-        sets = knn.top_k_within(x, 3)
+        want = topk_bruteforce(x, 3)
+        assert mat.shape == (8, 3)
         for i in range(8):
-            np.testing.assert_array_equal(mat[i], sets[i].neighbor_indices)
+            np.testing.assert_array_equal(mat[i], want[i])

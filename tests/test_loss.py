@@ -95,36 +95,31 @@ class TestHardestNegative:
         for _ in range(25):
             n = int(rng.integers(2, 12))
             cross = rng.uniform(0.1, 2.0, size=(n, n))
+            neg_u, neg_v = L.hardest_negatives(cross)
             for i in range(n):
-                dist, u, v = L.hardest_negative(i, cross)
                 bd, bu, bv = brute_hardest(i, cross)
-                assert dist == bd
-                assert (u, v) == (bu, bv)
+                assert cross[neg_u[i], neg_v[i]] == bd
+                assert (neg_u[i], neg_v[i]) == (bu, bv)
 
     def test_two_element_batch(self):
         cross = np.array([[0.0, 0.7], [0.3, 0.0]])
-        dist, u, v = L.hardest_negative(0, cross)
-        assert (dist, u, v) == (0.3, 1, 0)
-        dist, u, v = L.hardest_negative(1, cross)
-        assert (dist, u, v) == (0.3, 1, 0)
+        neg_u, neg_v = L.hardest_negatives(cross)
+        assert (neg_u[0], neg_v[0]) == (1, 0)
+        assert (neg_u[1], neg_v[1]) == (1, 0)
 
     def test_tie_prefers_own_row(self):
         cross = np.full((3, 3), 0.5)
-        dist, u, v = L.hardest_negative(1, cross)
-        assert (dist, u, v) == (0.5, 1, 0)
+        neg_u, neg_v = L.hardest_negatives(cross)
+        assert (neg_u[1], neg_v[1]) == (1, 0)
 
     def test_tie_prefers_lower_index(self):
         cross = np.array([[0.0, 0.5, 0.5], [9.0, 0.0, 9.0], [9.0, 9.0, 0.0]])
-        dist, u, v = L.hardest_negative(0, cross)
-        assert (dist, u, v) == (0.5, 0, 1)
+        neg_u, neg_v = L.hardest_negatives(cross)
+        assert (neg_u[0], neg_v[0]) == (0, 1)
 
     def test_batch_too_small(self):
         with pytest.raises(InvalidBatchError):
-            L.hardest_negative(0, np.zeros((1, 1)))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            L.hardest_negative(5, np.zeros((3, 3)))
+            L.hardest_negatives(np.zeros((1, 1)))
 
 
 class TestSelectStructure:
@@ -137,7 +132,7 @@ class TestSelectStructure:
             st = L.select_structure(va, vp, cfg)
             cross = knn.pairwise_distances(va, vp)
             for i in range(9):
-                dist, u, v = L.hardest_negative(i, cross)
+                _, u, v = brute_hardest(i, cross)
                 assert st.neg_u[i] == u
                 assert st.neg_v[i] == v
 
@@ -245,7 +240,7 @@ def oracle_loss(va, vp, lam, cfg, eps):
     for i in range(n):
         d_pos = cross[i, i]
         d_topo = topology.topology_distance(tvs_a[i], tvs_p[i])
-        gamma_neg, _, _ = L.hardest_negative(i, cross)
+        gamma_neg, _, _ = brute_hardest(i, cross)
         gamma_pos = L.positive_distance(d_pos, d_topo, lam)
         hinges.append(max(0.0, cfg.margin + gamma_pos - gamma_neg))
     return sum(hinges) / n
@@ -279,7 +274,7 @@ class TestBatchLossAgainstOracle:
         va = unit_rows(rng, 10, 5)
         rep = L.batch_loss(va, va.copy(), 0, cfg)
         cross = knn.pairwise_distances(va, va)
-        want = np.mean([max(0.0, cfg.margin - L.hardest_negative(i, cross)[0]) for i in range(10)])
+        want = np.mean([max(0.0, cfg.margin - brute_hardest(i, cross)[0]) for i in range(10)])
         assert rep.loss == pytest.approx(want, abs=5e-8)
         assert rep.mean_d_pos_topo == 0.0
 

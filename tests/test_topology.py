@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from topodesc import autodiff as ad
 from topodesc import topology
 from topodesc.errors import InvalidInputError
-from topodesc.knn import top_k_within
+from topodesc.knn import neighbor_index_matrix
 
 
 def unit_rows(rng, n, d):
@@ -204,7 +204,7 @@ class TestBatchTopologyVectors:
         rng = np.random.default_rng(29)
         x = unit_rows(rng, 14, 6)
         vectors = topology.batch_topology_vectors(x, 4)
-        sets = top_k_within(x, 4)
+        idx = neighbor_index_matrix(x, 4)
         for i, tv in enumerate(vectors):
             np.testing.assert_allclose(tv.values.sum(), 1.0, atol=1e-8)
-            np.testing.assert_array_equal(tv.support, sets[i].neighbor_indices)
+            np.testing.assert_array_equal(tv.support, idx[i])

@@ -1,9 +1,11 @@
 """Training loop determinism, schedule plumbing, and the CSV log."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from topodesc import data, train
+from topodesc import autodiff, data, train
 from topodesc.config import RunConfig
 from topodesc.errors import InvalidArgumentError
 from topodesc.net import embed
@@ -123,6 +125,20 @@ class TestRunTraining:
             with pytest.raises(train.TrainingDivergenceError) as info:
                 train.run_training(cfg, dataset=tiny_dataset())
         assert info.value.last_good_iteration == 0
+
+    def test_each_step_frees_its_graph_without_the_collector(self):
+        def live_tensors():
+            return sum(isinstance(o, autodiff.Tensor) for o in gc.get_objects())
+
+        gc.collect()
+        before = live_tensors()
+        gc.disable()
+        try:
+            train.run_training(tiny_config(iterations=3), dataset=tiny_dataset())
+            after = live_tensors()
+        finally:
+            gc.enable()
+        assert after == before
 
     def test_batch_larger_than_train_split_rejected(self):
         ds = tiny_dataset(scenes=10)  # train split keeps 8 scenes
