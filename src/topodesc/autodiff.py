@@ -11,6 +11,8 @@ and clip passes gradient strictly inside the interval.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SingularSystemError
@@ -42,8 +44,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # an owned copy: g may be a view shared with another node's gradient
+            self.grad = np.array(np.broadcast_to(g, self.value.shape), dtype=self.value.dtype)
+        else:
+            self.grad += g
 
     # Operator sugar; plain numbers and arrays are wrapped as constants.
     def __add__(self, other):
@@ -117,7 +121,7 @@ def backward(tape: Tape, root: Tensor | None = None, adjoint=1.0) -> None:
     if not root.requires_grad:
         return
     seed = np.asarray(adjoint, dtype=root.value.dtype)
-    root._accumulate(np.broadcast_to(seed, root.value.shape).copy())
+    root._accumulate(seed)
     for node in reversed(tape.nodes):
         if node.grad is None or node._backward is None:
             continue
@@ -200,13 +204,10 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     value = a.value.sum(axis=axis, keepdims=keepdims)
 
     def back(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.value.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             axes = axis if isinstance(axis, tuple) else (axis,)
             g = np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(g, a.value.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.value.shape))
 
     return _node(a.tape, value, (a,), back)
 
@@ -258,16 +259,21 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def take(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Row gather a[indices]; backward scatter-adds into the source."""
+    """Row gather a[indices]; backward scatter-adds into the source.
+
+    The scatter is one bincount over flat (row, trailing slot) positions,
+    which adds each position's terms in gather order, in double precision.
+    """
     idx = np.asarray(indices)
     value = a.value[idx]
 
     def back(g):
         if not a.requires_grad:
             return
-        buf = np.zeros_like(a.value)
-        np.add.at(buf, idx, g)
-        a._accumulate(buf)
+        rows, width = a.value.shape[0], math.prod(a.value.shape[1:])
+        slots = (idx.reshape(-1, 1) % rows) * width + np.arange(width)
+        buf = np.bincount(slots.ravel(), weights=g.reshape(-1), minlength=a.value.size)
+        a._accumulate(buf.reshape(a.value.shape))
 
     return _node(a.tape, value, (a,), back)
 

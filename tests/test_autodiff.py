@@ -177,6 +177,25 @@ class TestShapeOps:
 
         check(fn, a)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "idx", [np.array([[0, 1], [1, 1], [4, 0], [1, 3]]), np.array([2, 0, -1, 2, 4])]
+    )
+    def test_take_backward_matches_add_at(self, idx, dtype):
+        rng = np.random.default_rng(13)
+        tape = ad.Tape()
+        x = ad.leaf(tape, rng.standard_normal((5, 3, 2)).astype(dtype))
+        rows = ad.take(x, idx)
+        adjoint = rng.standard_normal(rows.value.shape).astype(dtype)
+        ad.backward(tape, rows, adjoint)
+        want = np.zeros_like(x.value)
+        np.add.at(want, idx, adjoint)
+        assert x.grad.dtype == dtype
+        if dtype == np.float64:
+            np.testing.assert_array_equal(x.grad, want)
+        else:
+            np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-6)
+
     def test_where_mask_routes_gradient(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal(6)
@@ -274,6 +293,16 @@ class TestBackwardEngine:
         out = ad.sum_(ad.add(ad.mul(p, p), p))
         ad.backward(tape, out)
         np.testing.assert_allclose(p.grad, [7.0], rtol=1e-15)
+
+    def test_first_gradient_is_an_owned_copy(self):
+        tape = ad.Tape()
+        x = ad.leaf(tape, np.zeros(3))
+        g = np.array([1.0, 2.0, 3.0])
+        x._accumulate(g)
+        assert not np.shares_memory(x.grad, g)
+        x._accumulate(g)
+        np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
     def test_adjoint_scales_seed(self):
         tape = ad.Tape()

@@ -93,6 +93,21 @@ class TestTopKWithin:
             for i in range(n):
                 np.testing.assert_array_equal(got[i], want[i])
 
+    def test_tie_runs_at_paper_scale(self):
+        """Runs of equal distances that the partial selection cuts are repaired.
+
+        Rows 100-399 are copies of row 50, so every copy sits at distance 0
+        from 300 others and a partition alone keeps an arbitrary 20 of them.
+        """
+        rng = np.random.default_rng(11)
+        x = unit_rows(rng, 1024, 32)
+        x[100:400] = x[50]
+        got = knn.neighbor_index_matrix(x, 20)
+        want = topk_bruteforce(x, 20)
+        assert got.shape == (1024, 20)
+        for i in range(1024):
+            np.testing.assert_array_equal(got[i], want[i])
+
     def test_excludes_self_even_with_duplicates(self):
         x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         got = knn.neighbor_index_matrix(x, 2)

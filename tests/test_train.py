@@ -80,10 +80,13 @@ class TestRunTraining:
         assert all(np.isfinite(r.loss) for r in result.rows)
         assert result.net.widths == (6, 16, 8)
 
-    def test_repeat_run_is_bit_identical(self):
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_repeat_run_is_bit_identical(self, precision):
         ds = tiny_dataset()
-        a = train.run_training(tiny_config(), dataset=ds)
-        b = train.run_training(tiny_config(), dataset=ds)
+        cfg = tiny_config(precision=precision)
+        a = train.run_training(cfg, dataset=ds)
+        b = train.run_training(cfg, dataset=ds)
+        assert a.net.weights[0].dtype == cfg.dtype()
         for wa, wb in zip(a.net.weights, b.net.weights):
             np.testing.assert_array_equal(wa, wb)
         assert [r.loss for r in a.rows] == [r.loss for r in b.rows]
