@@ -6,7 +6,7 @@ distance, using hardest-in-batch negative mining throughout.
 """
 
 from .config import RunConfig, parse_config_file, resolve_config
-from .data import DatasetFile, PatchPair, generate, read_dataset, sample_batch, write_dataset
+from .data import DatasetFile, generate, read_dataset, sample_batch, write_dataset
 from .errors import (
     DatasetFormatError,
     DegenerateDescriptorError,
@@ -25,7 +25,7 @@ from .loss import (
     lambda_schedule,
     positive_distance,
 )
-from .metrics import LabeledDistance, MetricReport, fpr95, retrieval_map, verification_pairs
+from .metrics import MetricReport, fpr95, retrieval_map, verification_pairs
 from .net import EmbeddingNet, embed, init_net, load_checkpoint, save_checkpoint, sgd_step
 from .topology import (
     LleWeights,
@@ -44,7 +44,6 @@ __all__ = [
     "parse_config_file",
     "resolve_config",
     "DatasetFile",
-    "PatchPair",
     "generate",
     "read_dataset",
     "sample_batch",
@@ -64,7 +63,6 @@ __all__ = [
     "batch_loss",
     "lambda_schedule",
     "positive_distance",
-    "LabeledDistance",
     "MetricReport",
     "fpr95",
     "retrieval_map",

@@ -49,28 +49,6 @@ class Tensor:
         else:
             self.grad += g
 
-    # Operator sugar; plain numbers and arrays are wrapped as constants.
-    def __add__(self, other):
-        return add(self, _wrap(other, self.tape))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self.tape), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self.tape))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.tape), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self.tape))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self.tape), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self.tape))
-
 
 def constant(tape: Tape, value) -> Tensor:
     return Tensor(value, tape, requires_grad=False)
@@ -79,10 +57,6 @@ def constant(tape: Tape, value) -> Tensor:
 def leaf(tape: Tape, value) -> Tensor:
     """A trainable input; its .grad is populated by backward()."""
     return Tensor(value, tape, requires_grad=True)
-
-
-def _wrap(x, tape: Tape) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(tape, x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -36,7 +36,7 @@ from .errors import (
     SingularSystemError,
 )
 from .gradcheck import grad_check
-from .train import TrainingDivergenceError, run_training, write_log
+from .train import TrainingDivergenceError, resolve_lambda, run_training, write_log
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,17 +45,17 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 
 
-def _env_seed(value: int | None, fallback: int = 0) -> int:
-    """Flag seed if given, else TCDESC_SEED, else the fallback."""
-    if value is not None:
-        return value
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidArgumentError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
+def _env_seed(value: int | None) -> int:
+    """Flag seed if given, else TCDESC_SEED, else 0; negative seeds are rejected."""
+    if value is None:
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise InvalidArgumentError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
+    if value < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,8 +160,14 @@ def cmd_train(args) -> int:
         "topology_gradient_mode": args.topology_mode,
     }
     if args.net_widths is not None:
-        flag_values["net_widths"] = tuple(int(w) for w in args.net_widths.split(","))
+        try:
+            flag_values["net_widths"] = tuple(int(w) for w in args.net_widths.split(","))
+        except ValueError:
+            raise InvalidArgumentError(
+                f"--net-widths must be comma-separated integers, got {args.net_widths!r}"
+            ) from None
     cfg = resolve_config(args.preset, file_values, flag_values)
+    resolve_lambda(0, cfg, args.lambda_mode)  # reject a bad --lambda-mode before writing
     if not cfg.dataset:
         print("error: a dataset path is required (--dataset or config file)", file=sys.stderr)
         return EXIT_USAGE
@@ -233,12 +239,11 @@ def cmd_inspect(args) -> int:
     _, batch_a, batch_p = datamod.sample_batch(ds, batch_size, rng)
     desc_a = netmod.embed(net, batch_a)
     desc_p = netmod.embed(net, batch_p)
-    n = batch_size
     vectors_a = topology.batch_topology_vectors(desc_a, args.k)
     vectors_p = topology.batch_topology_vectors(desc_p, args.k)
-    d_pos = np.array([knn.pairwise_distances(desc_a[i : i + 1], desc_p[i : i + 1])[0, 0] for i in range(n)])
+    d_pos = np.diag(knn.pairwise_distances(desc_a, desc_p))
     rows = []
-    for i in range(n):
+    for i in range(batch_size):
         ta, tp = vectors_a[i], vectors_p[i]
         d_t = topology.topology_distance(ta, tp)
         print(f"A {i}: " + " ".join(f"({j}:{float(w)!r})" for j, w in zip(ta.support, ta.values)))

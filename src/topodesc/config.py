@@ -8,7 +8,7 @@ neither a flag nor a file provides one.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -157,7 +157,3 @@ def format_config(cfg: RunConfig) -> str:
             value = ",".join(str(w) for w in value)
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def config_as_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)

@@ -24,15 +24,6 @@ HOLDOUT_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
-class PatchPair:
-    """Two views of one scene, as float64 vectors."""
-
-    scene_id: int
-    view_a: np.ndarray
-    view_p: np.ndarray
-
-
-@dataclass(frozen=True)
 class DatasetFile:
     """In-memory dataset: header fields plus parallel per-scene arrays."""
 
@@ -48,9 +39,6 @@ class DatasetFile:
     @property
     def scene_count(self) -> int:
         return self.scene_ids.shape[0]
-
-    def pair(self, i: int) -> PatchPair:
-        return PatchPair(int(self.scene_ids[i]), self.views_a[i], self.views_p[i])
 
 
 def generate(

@@ -16,6 +16,7 @@ from . import autodiff as ad
 from . import loss as lossmod
 from . import net as netmod
 from . import topology
+from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,8 @@ def grad_check(
     Runs in double precision regardless of the incoming net dtype. Above
     max_params parameters, a seeded random subset of coordinates is probed.
     """
+    if not 0.0 < step < np.inf:
+        raise InvalidArgumentError(f"step must be positive and finite, got {step!r}")
     net = netmod.cast_net(net, np.float64)
     patches_a = np.asarray(patches_a, dtype=np.float64)
     patches_p = np.asarray(patches_p, dtype=np.float64)

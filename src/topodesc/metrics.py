@@ -1,4 +1,4 @@
-"""Verification and retrieval quality measures over labeled distances."""
+"""Verification and retrieval quality measures over descriptor distances."""
 
 from __future__ import annotations
 
@@ -11,14 +11,6 @@ from .knn import pairwise_distances
 
 
 @dataclass(frozen=True)
-class LabeledDistance:
-    """One scored pair: its descriptor distance and whether it truly matches."""
-
-    distance: float
-    is_match: bool
-
-
-@dataclass(frozen=True)
 class MetricReport:
     fpr95: float
     mAP: float
@@ -26,15 +18,22 @@ class MetricReport:
     n_neg: int
 
 
-def fpr95(samples: list[LabeledDistance]) -> float:
+def fpr95(distances: np.ndarray, is_match: np.ndarray) -> float:
     """Fraction of non-matches at or below the 95%-recall distance threshold.
 
-    The threshold is the smallest distance t such that at least 95% of the
-    matching pairs satisfy d <= t; equal distances all count, on both sides
-    of the comparison. Requires at least one match and one non-match.
+    distances[i] scores pair i and is_match[i] says whether it truly
+    matches. The threshold is the smallest distance t such that at least 95%
+    of the matching pairs satisfy d <= t; equal distances all count, on both
+    sides of the comparison. Requires at least one match and one non-match.
     """
-    match = np.sort([s.distance for s in samples if s.is_match])
-    non = np.asarray([s.distance for s in samples if not s.is_match])
+    distances = np.asarray(distances)
+    is_match = np.asarray(is_match, dtype=bool)
+    if distances.ndim != 1 or distances.shape != is_match.shape:
+        raise InvalidInputError(
+            f"need one flag per distance, got {distances.shape} and {is_match.shape}"
+        )
+    match = np.sort(distances[is_match])
+    non = distances[~is_match]
     if match.size == 0 or non.size == 0:
         raise InvalidInputError(
             f"need both classes, got {match.size} matches and {non.size} non-matches"
@@ -50,9 +49,10 @@ def retrieval_map(
 ) -> float:
     """Mean of 1/rank of each query's single true gallery match.
 
-    The gallery is sorted by ascending descriptor distance with ties broken
-    toward the lower gallery index; the true match's 1-based position gives
-    the query's average precision.
+    The gallery is ranked by ascending descriptor distance with ties broken
+    toward the lower gallery index, so the true match's 1-based rank is one
+    plus the count of strictly closer entries and of equally close entries
+    at a lower index.
     """
     queries = np.asarray(queries)
     gallery = np.asarray(gallery)
@@ -69,12 +69,10 @@ def retrieval_map(
             f"query {bad} has ground-truth index {gt[bad]} outside the gallery"
         )
     dist = pairwise_distances(queries, gallery)
-    ap = np.empty(gt.shape[0])
-    for i in range(gt.shape[0]):
-        order = np.argsort(dist[i], kind="stable")
-        rank = int(np.flatnonzero(order == gt[i])[0]) + 1
-        ap[i] = 1.0 / rank
-    return float(ap.mean())
+    d_gt = dist[np.arange(gt.size), gt][:, None]
+    before = np.arange(gallery.shape[0]) < gt[:, None]
+    rank = 1 + np.count_nonzero((dist < d_gt) | (before & (dist == d_gt)), axis=1)
+    return float((1.0 / rank).mean())
 
 
 def verification_pairs(
@@ -82,11 +80,13 @@ def verification_pairs(
     desc_p: np.ndarray,
     negatives_per_positive: int,
     rng: np.random.Generator,
-) -> list[LabeledDistance]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Matched pairs by index plus seeded random non-matching pairs.
 
     For each index i the pair (a_i, p_i) is a match; negatives_per_positive
-    draws of j != i give non-matching (a_i, p_j) pairs.
+    draws of j != i give non-matching (a_i, p_j) pairs. Returns the pair
+    distances and their match flags: first the n matches in index order,
+    then each anchor's non-matches in draw order.
     """
     desc_a = np.asarray(desc_a)
     desc_p = np.asarray(desc_p)
@@ -102,13 +102,10 @@ def verification_pairs(
             f"negatives_per_positive must be >= 1, got {negatives_per_positive}"
         )
     dist = pairwise_distances(desc_a, desc_p)
-    out = [LabeledDistance(float(dist[i, i]), True) for i in range(n)]
-    for i in range(n):
-        draws = rng.integers(0, n - 1, size=negatives_per_positive)
-        draws = draws + (draws >= i)
-        for j in draws:
-            out.append(LabeledDistance(float(dist[i, int(j)]), False))
-    return out
+    rows = np.arange(n)[:, None]
+    draws = rng.integers(0, n - 1, size=(n, negatives_per_positive))
+    distances = np.concatenate([np.diag(dist), dist[rows, draws + (draws >= rows)].ravel()])
+    return distances, np.arange(distances.size) < n
 
 
 def evaluate_descriptors(
@@ -122,11 +119,11 @@ def evaluate_descriptors(
     Retrieval uses each anchor descriptor as a query against the full
     positive-view gallery, with the same index as the single true match.
     """
-    samples = verification_pairs(desc_a, desc_p, negatives_per_positive, rng)
-    n_pos = sum(1 for s in samples if s.is_match)
+    distances, is_match = verification_pairs(desc_a, desc_p, negatives_per_positive, rng)
+    n_pos = int(np.count_nonzero(is_match))
     return MetricReport(
-        fpr95=fpr95(samples),
+        fpr95=fpr95(distances, is_match),
         mAP=retrieval_map(desc_a, desc_p, np.arange(desc_a.shape[0])),
         n_pos=n_pos,
-        n_neg=len(samples) - n_pos,
+        n_neg=distances.size - n_pos,
     )

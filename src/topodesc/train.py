@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +57,21 @@ def learning_rate(iteration: int, cfg: RunConfig) -> float:
 
 def resolve_lambda(iteration: int, cfg: RunConfig, lambda_mode: str) -> float:
     """Map the --lambda-mode string to a blend value for this iteration."""
-    if cfg.topology_gradient_mode == "off":
-        return 1.0
     if lambda_mode == "dynamic":
-        return lossmod.lambda_schedule(iteration, cfg.loss_config())
-    if lambda_mode.startswith("fixed:"):
-        value = float(lambda_mode.split(":", 1)[1])
+        value = lossmod.lambda_schedule(iteration, cfg.loss_config())
+    elif lambda_mode.startswith("fixed:"):
+        raw = lambda_mode.removeprefix("fixed:")
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
         if not 0.0 <= value <= 1.0:
-            raise InvalidArgumentError(f"fixed lambda must be in [0, 1], got {value}")
-        return value
-    raise InvalidArgumentError(
-        f"lambda_mode must be 'dynamic' or 'fixed:<value>', got {lambda_mode!r}"
-    )
+            raise InvalidArgumentError(f"fixed lambda must be a number in [0, 1], got {raw!r}")
+    else:
+        raise InvalidArgumentError(
+            f"lambda_mode must be 'dynamic' or 'fixed:<value>', got {lambda_mode!r}"
+        )
+    return 1.0 if cfg.topology_gradient_mode == "off" else value
 
 
 def run_training(

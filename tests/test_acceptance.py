@@ -257,9 +257,8 @@ def test_criterion_8_metric_oracles_exact():
         n_neg = int(rng.integers(1, 80))
         matches = rng.uniform(0, 2, size=n_pos).tolist()
         nons = rng.uniform(0, 2, size=n_neg).tolist()
-        samples = [metrics.LabeledDistance(v, True) for v in matches]
-        samples += [metrics.LabeledDistance(v, False) for v in nons]
-        assert metrics.fpr95(samples) == sweep_oracle(matches, nons)
+        is_match = np.arange(n_pos + n_neg) < n_pos
+        assert metrics.fpr95(np.array(matches + nons), is_match) == sweep_oracle(matches, nons)
 
     for _ in range(100):
         nq = int(rng.integers(1, 12))

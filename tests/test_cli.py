@@ -481,3 +481,49 @@ class TestGradcheckCommand:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli.main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed",
+    [
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--net-widths", "16,a"], None),
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--lambda-mode", "fixed:abc"], None),
+        (["gradcheck", "--step", "0"], None),
+        (["gradcheck", "--step=-1e-5"], None),
+        (["gradcheck", "--step", "inf"], None),
+        (["gradcheck", "--step", "nan"], None),
+        (["eval", "--checkpoint", "{checkpoint}", "--dataset", "{noisy}", "--seed", "-1"], None),
+        (["inspect", "--checkpoint", "{checkpoint}", "--dataset", "{noisy}", "--seed", "-1"], None),
+        (["gradcheck", "--seed", "-1"], None),
+        (["eval", "--checkpoint", "{checkpoint}", "--dataset", "{noisy}"], "-3"),
+        (["inspect", "--checkpoint", "{checkpoint}", "--dataset", "{noisy}"], "-3"),
+        (["gradcheck"], "-3"),
+    ],
+    ids=[
+        "train-net-widths",
+        "train-lambda-mode",
+        "gradcheck-step-zero",
+        "gradcheck-step-negative",
+        "gradcheck-step-inf",
+        "gradcheck-step-nan",
+        "eval-seed",
+        "inspect-seed",
+        "gradcheck-seed",
+        "eval-env-seed",
+        "inspect-env-seed",
+        "gradcheck-env-seed",
+    ],
+)
+def test_bad_argument_exits_2_with_one_error_line(
+    argv, env_seed, workspace, tmp_path, monkeypatch, capsys
+):
+    if env_seed is None:
+        monkeypatch.delenv("TCDESC_SEED", raising=False)
+    else:
+        monkeypatch.setenv("TCDESC_SEED", env_seed)
+    paths = {"noisy": workspace["noisy"], "checkpoint": workspace["checkpoint"]}
+    argv = [a.format(out=tmp_path / "o", **paths) for a in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "o").exists()  # nothing written before the argument was rejected
