@@ -23,7 +23,6 @@ from .loss import (
     LossReport,
     batch_loss,
     lambda_schedule,
-    positive_distance,
 )
 from .metrics import MetricReport, fpr95, retrieval_map, verification_pairs
 from .net import EmbeddingNet, embed, init_net, load_checkpoint, save_checkpoint, sgd_step
@@ -62,7 +61,6 @@ __all__ = [
     "LossReport",
     "batch_loss",
     "lambda_schedule",
-    "positive_distance",
     "MetricReport",
     "fpr95",
     "retrieval_map",

@@ -252,22 +252,6 @@ def take(a: Tensor, indices: np.ndarray) -> Tensor:
     return _node(a.tape, value, (a,), back)
 
 
-def where_mask(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select by a fixed boolean mask (not differentiated)."""
-    value = np.where(mask, a.value, b.value)
-
-    def back(g):
-        a._accumulate(_unbroadcast(g * mask, a.value.shape))
-        b._accumulate(_unbroadcast(g * ~mask, b.value.shape))
-
-    return _node(a.tape or b.tape, value, (a, b), back)
-
-
-def detach(a: Tensor) -> Tensor:
-    """Cut the graph: same value, no gradient flow."""
-    return Tensor(a.value, a.tape, requires_grad=False)
-
-
 # ---------------------------------------------------------------------------
 # batched ops for the per-anchor affine fits
 
@@ -287,16 +271,27 @@ def gram_batched(d: Tensor) -> Tensor:
     return _node(d.tape, value, (d,), back)
 
 
-def trace_batched(s: Tensor) -> Tensor:
-    """Traces of a stack of square matrices (n, k, k) -> (n,)."""
+def regularize_batched(s: Tensor, eps: np.ndarray) -> Tensor:
+    """M_i = S_i + eps_i * trace(S_i) / k * I, or S_i + eps_i * I where trace(S_i) == 0.
+
+    s is a stack (n, k, k) and eps a fixed per-system array (n,). The
+    gradient reaches S through the trace term as well, except where the
+    trace is zero and the shift is the constant eps_i.
+    """
     k = s.value.shape[-1]
+    dtype = s.value.dtype
     idx = np.arange(k)
-    value = s.value[:, idx, idx].sum(axis=-1)
+    eye = np.eye(k, dtype=dtype)
+    tr = s.value[:, idx, idx].sum(axis=-1)
+    nonzero = tr != 0
+    coef = (eps / k).astype(dtype)
+    shift = np.where(nonzero, tr * coef, eps.astype(dtype))
+    value = s.value + shift[:, None, None] * eye
 
     def back(g):
         buf = np.zeros_like(s.value)
-        buf[:, idx, idx] = g[:, None]
-        s._accumulate(buf)
+        buf[:, idx, idx] = (((g * eye).sum(axis=(1, 2)) * nonzero) * coef)[:, None]
+        s._accumulate(g + buf)
 
     return _node(s.tape, value, (s,), back)
 

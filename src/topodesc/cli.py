@@ -264,6 +264,8 @@ def cmd_gradcheck(args) -> int:
     seed = _env_seed(args.seed)
     if not 0.0 <= args.lam <= 1.0:
         raise InvalidArgumentError(f"--lam must be in [0, 1], got {args.lam}")
+    if not 0.0 < args.tol < np.inf:
+        raise InvalidArgumentError(f"--tol must be positive and finite, got {args.tol!r}")
     rng = np.random.default_rng(seed)
     net = netmod.init_net((8, 8, 4), rng, dtype=np.float64)
     patches_a = rng.standard_normal((6, 8))

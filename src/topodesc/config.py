@@ -48,8 +48,10 @@ class RunConfig:
             raise InvalidArgumentError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.iterations < 1:
             raise InvalidArgumentError(f"iterations must be >= 1, got {self.iterations}")
-        if self.lr_start < 0 or self.lr_end < 0:
-            raise InvalidArgumentError("learning rates must be >= 0")
+        if not (0 <= self.lr_start < np.inf and 0 <= self.lr_end < np.inf):
+            raise InvalidArgumentError(
+                f"learning rates must be finite and >= 0, got {self.lr_start}, {self.lr_end}"
+            )
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         if self.precision not in PRECISIONS:

@@ -58,8 +58,10 @@ def generate(
         raise InvalidArgumentError(f"dim must be >= 1, got {dim}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-    if noise_sigma < 0 or distortion < 0:
-        raise InvalidArgumentError("noise_sigma and distortion must be >= 0")
+    if not (0 <= noise_sigma < np.inf and 0 <= distortion < np.inf):
+        raise InvalidArgumentError(
+            f"noise_sigma and distortion must be finite and >= 0, got {noise_sigma}, {distortion}"
+        )
     rng = np.random.default_rng(seed)
     latents = rng.standard_normal((scenes, dim))
     if distortion > 0:

@@ -15,7 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as lossmod
 from . import net as netmod
-from . import topology
 from .errors import InvalidArgumentError
 
 
@@ -67,9 +66,6 @@ def grad_check(
     da, _ = netmod.forward(net, patches_a, tape, leaves)
     dp, _ = netmod.forward(net, patches_p, tape, leaves)
     structure = lossmod.select_structure(da.value, dp.value, cfg)
-    if cfg.topology_gradient_mode == "detached":
-        structure.frozen_wa = topology.affine_weight_values(da.value, structure.idx_a)
-        structure.frozen_wp = topology.affine_weight_values(dp.value, structure.idx_p)
     graph = lossmod.build_loss_graph(da, dp, lam, cfg, structure, tape)
     ad.backward(tape, graph.loss)
     analytic = {

@@ -15,8 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from . import knn, topology
 from .errors import InvalidArgumentError, InvalidBatchError
-# affine_weight_values is re-exported: loss-level callers freeze weights with it.
-from .topology import DEFAULT_EPS, affine_weight_values  # noqa: F401
 
 GRADIENT_MODES = ("through-weights", "detached", "off")
 
@@ -42,16 +40,16 @@ class LossConfig:
     topology_gradient_mode: str = "through-weights"
 
     def __post_init__(self):
-        if not self.margin > 0:
-            raise InvalidArgumentError(f"margin must be positive, got {self.margin}")
+        if not 0 < self.margin < np.inf:
+            raise InvalidArgumentError(f"margin must be positive and finite, got {self.margin}")
         if self.k < 1:
             raise InvalidArgumentError(f"k must be >= 1, got {self.k}")
         if self.lambda_n0 < 0 or self.lambda_N < 1:
             raise InvalidArgumentError(
                 f"schedule needs lambda_n0 >= 0 and lambda_N >= 1, got {self.lambda_n0}, {self.lambda_N}"
             )
-        if not self.lambda_r > 0:
-            raise InvalidArgumentError(f"lambda_r must be positive, got {self.lambda_r}")
+        if not 0 < self.lambda_r < np.inf:
+            raise InvalidArgumentError(f"lambda_r must be positive and finite, got {self.lambda_r}")
         if not 0 < self.lambda_floor <= 1:
             raise InvalidArgumentError(f"lambda_floor must be in (0, 1], got {self.lambda_floor}")
         if self.topology_gradient_mode not in GRADIENT_MODES:
@@ -88,13 +86,6 @@ def lambda_schedule(iteration: int, cfg: LossConfig) -> float:
     return max(1.0 - steps * cfg.lambda_r, cfg.lambda_floor)
 
 
-def positive_distance(d_euclid: float, d_topo: float, lam: float) -> float:
-    """Blend lam * d_euclid + (1 - lam) * d_topo; lam must lie in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidArgumentError(f"lambda must be in [0, 1], got {lam}")
-    return lam * d_euclid + (1.0 - lam) * d_topo
-
-
 def hardest_negatives(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hardest in-batch negative pair (neg_u[i], neg_v[i]) for every anchor i.
 
@@ -121,8 +112,10 @@ class LossStructure:
     Holds the neighbor index matrices for both views, the mined negative
     pair per anchor, and the padded support-union gather matrices used to
     compare sparse topology vectors without indexing inside the graph.
-    frozen_wa / frozen_wp, when set, replace the affine solve entirely (used
-    by the finite-difference oracle for the detached mode).
+    frozen_wa / frozen_wp, when set, are the fitted affine weights of the two
+    views as constants: the graph uses them in place of the affine solve, so
+    no gradient flows through the fit. select_structure sets them in
+    "detached" mode.
     """
 
     n: int
@@ -157,7 +150,8 @@ def select_structure(va: np.ndarray, vp: np.ndarray, cfg: LossConfig) -> LossStr
     """Run the discrete parts of the loss: kNN supports and negative mining.
 
     These selections are treated as constant during differentiation; the
-    backward pass only sees the arithmetic conditioned on them.
+    backward pass only sees the arithmetic conditioned on them. In "detached"
+    mode the affine weights are fitted here as well and frozen with them.
     """
     va = np.asarray(va)
     vp = np.asarray(vp)
@@ -172,14 +166,20 @@ def select_structure(va: np.ndarray, vp: np.ndarray, cfg: LossConfig) -> LossStr
         st.idx_a = knn.neighbor_index_matrix(va, cfg.k)
         st.idx_p = knn.neighbor_index_matrix(vp, cfg.k)
         st.gather_a, st.gather_p = _union_gathers(st.idx_a, st.idx_p, n, va.dtype)
+        if cfg.topology_gradient_mode == "detached":
+            st.frozen_wa = topology.affine_weight_values(va, st.idx_a)
+            st.frozen_wp = topology.affine_weight_values(vp, st.idx_p)
     return st
 
 
 def _row_euclidean(a: ad.Tensor, b: ad.Tensor, tape: ad.Tape) -> ad.Tensor:
-    """Unit-descriptor distance per row: sqrt(max(0, 2 - 2 a.b)), dot clamped."""
+    """Unit-descriptor distance per row: sqrt(2 - 2 a.b), with a.b clipped to [-1, 1].
+
+    The clip makes 2 - 2 a.b exactly >= 0, and sqrt_ passes no gradient at 0.
+    """
     dots = ad.clip(ad.sum_(ad.mul(a, b), axis=1), -1.0, 1.0)
     two = ad.constant(tape, np.asarray(2.0, dtype=a.value.dtype))
-    return ad.sqrt_(ad.relu(ad.sub(two, ad.mul(two, dots))))
+    return ad.sqrt_(ad.sub(two, ad.mul(two, dots)))
 
 
 @dataclass
@@ -197,14 +197,13 @@ def build_loss_graph(
     cfg: LossConfig,
     structure: LossStructure,
     tape: ad.Tape,
-    eps: float = DEFAULT_EPS,
 ) -> LossGraph:
     """Assemble the full batch objective on the tape.
 
     mean over i of max(0, margin + blended positive distance - hardest
     negative distance). With topology_gradient_mode "off" the positive side
-    is purely Euclidean; "detached" computes the affine weights but stops
-    their gradient; frozen weights in the structure short-circuit the solve.
+    is purely Euclidean. Frozen weights in the structure ("detached" mode)
+    enter as constants; otherwise the affine fit is recorded on the tape.
     """
     if not 0.0 <= lam <= 1.0:
         raise InvalidArgumentError(f"lambda must be in [0, 1], got {lam}")
@@ -224,11 +223,8 @@ def build_loss_graph(
             weights_a = ad.constant(tape, structure.frozen_wa)
             weights_p = ad.constant(tape, structure.frozen_wp)
         else:
-            weights_a = topology.affine_weights(desc_a, ad.take(desc_a, structure.idx_a), eps)
-            weights_p = topology.affine_weights(desc_p, ad.take(desc_p, structure.idx_p), eps)
-            if cfg.topology_gradient_mode == "detached":
-                weights_a = ad.detach(weights_a)
-                weights_p = ad.detach(weights_p)
+            weights_a = topology.affine_weights(desc_a, ad.take(desc_a, structure.idx_a))
+            weights_p = topology.affine_weights(desc_p, ad.take(desc_p, structure.idx_p))
         ta = ad.matmul(ad.constant(tape, structure.gather_a), ad.reshape(weights_a, (n, cfg.k, 1)))
         tp = ad.matmul(ad.constant(tape, structure.gather_p), ad.reshape(weights_p, (n, cfg.k, 1)))
         l1 = ad.sum_(ad.abs_(ad.sub(ta, tp)), axis=(1, 2))
@@ -260,19 +256,17 @@ def batch_loss(
     vp: np.ndarray,
     iteration: int,
     cfg: LossConfig,
-    eps: float = DEFAULT_EPS,
 ) -> LossReport:
-    """Loss and diagnostics for fixed descriptor arrays (no training state)."""
+    """Loss and diagnostics for fixed descriptor arrays (no training state).
+
+    lambda follows the schedule at iteration (1 in "off" mode), and the
+    affine weights are fitted with topology.DEFAULT_EPS. Nothing is
+    differentiated, so "through-weights" and "detached" report the same loss.
+    """
     lam = 1.0 if cfg.topology_gradient_mode == "off" else lambda_schedule(iteration, cfg)
     structure = select_structure(va, vp, cfg)
     tape = ad.Tape()
     graph = build_loss_graph(
-        ad.constant(tape, va),
-        ad.constant(tape, vp),
-        lam,
-        cfg,
-        structure,
-        tape,
-        eps=eps,
+        ad.constant(tape, va), ad.constant(tape, vp), lam, cfg, structure, tape
     )
     return graph.report

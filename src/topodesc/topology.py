@@ -73,7 +73,6 @@ def affine_weights(
     """
     if eps < 0.0:
         raise InvalidInputError(f"eps must be >= 0, got {eps}")
-    tape = anchors.tape
     n, k, dim = neighbors.value.shape
     dtype = neighbors.value.dtype
     diffs = ad.sub(ad.reshape(anchors, (n, 1, dim)), neighbors)
@@ -81,12 +80,7 @@ def affine_weights(
     eps_per_system = np.full(n, eps)
     if eps == 0.0:
         eps_per_system[ad.cholesky_failures(np.asarray(s.value, dtype=np.float64))] = DEFAULT_EPS
-    tr = ad.trace_batched(s)
-    scaled = ad.mul(tr, ad.constant(tape, (eps_per_system / k).astype(dtype)))
-    flat_eps = ad.constant(tape, eps_per_system.astype(dtype))
-    scale = ad.where_mask(tr.value != 0, scaled, flat_eps)
-    eye = ad.constant(tape, np.eye(k, dtype=dtype))
-    m = ad.add(s, ad.mul(ad.reshape(scale, (n, 1, 1)), eye))
+    m = ad.regularize_batched(s, eps_per_system)
     y = ad.solve_chol_batched(m, np.ones(k, dtype=dtype))
     ysum = ad.sum_(y, axis=1, keepdims=True)
     denom = ysum.value.ravel()

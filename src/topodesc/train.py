@@ -113,7 +113,7 @@ def run_training(
         except (DegenerateDescriptorError, DegenerateFitError, SingularSystemError) as exc:
             raise TrainingDivergenceError(str(exc), i - 1) from exc
         if not np.isfinite(graph.loss.value):
-            raise TrainingDivergenceError(f"loss is {graph.loss.value!r}", i - 1)
+            raise TrainingDivergenceError(f"loss is {float(graph.loss.value)!r}", i - 1)
         ad.backward(tape, graph.loss)
         grads = {name: t.grad for name, t in leaves.items() if t.grad is not None}
         state = netmod.sgd_step(

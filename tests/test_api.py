@@ -1,7 +1,7 @@
 """The package's public names: every export resolves, removed ones stay gone."""
 
 import topodesc
-from topodesc import autodiff, config, data, metrics
+from topodesc import autodiff, config, data, loss, metrics
 
 TENSOR_OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"
@@ -14,6 +14,11 @@ REMOVED = [
     (data.DatasetFile, "pair"),
     (config, "config_as_dict"),
     (autodiff, "_wrap"),
+    (autodiff, "where_mask"),
+    (autodiff, "trace_batched"),
+    (autodiff, "detach"),
+    (loss, "positive_distance"),
+    (topodesc, "positive_distance"),
     *[(autodiff.Tensor, op) for op in TENSOR_OPERATORS],
 ]
 

@@ -498,6 +498,14 @@ class TestGradcheckCommand:
         (["eval", "--checkpoint", "{checkpoint}", "--dataset", "{noisy}"], "-3"),
         (["inspect", "--checkpoint", "{checkpoint}", "--dataset", "{noisy}"], "-3"),
         (["gradcheck"], "-3"),
+        (["generate", "--noise", "nan", "--out", "{out}"], None),
+        (["generate", "--distortion", "inf", "--out", "{out}"], None),
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--lr-start", "nan"], None),
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--lr-end", "inf"], None),
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--margin", "inf"], None),
+        (["train", "--config", "{inf_margin}", "--dataset", "{noisy}", "--out-dir", "{out}"], None),
+        (["train", "--config", "{nan_lr}", "--dataset", "{noisy}", "--out-dir", "{out}"], None),
+        (["gradcheck", "--tol", "nan"], None),
     ],
     ids=[
         "train-net-widths",
@@ -512,6 +520,14 @@ class TestGradcheckCommand:
         "eval-env-seed",
         "inspect-env-seed",
         "gradcheck-env-seed",
+        "generate-noise-nan",
+        "generate-distortion-inf",
+        "train-lr-start-nan",
+        "train-lr-end-inf",
+        "train-margin-inf",
+        "train-config-margin-inf",
+        "train-config-lr-start-nan",
+        "gradcheck-tol-nan",
     ],
 )
 def test_bad_argument_exits_2_with_one_error_line(
@@ -522,6 +538,9 @@ def test_bad_argument_exits_2_with_one_error_line(
     else:
         monkeypatch.setenv("TCDESC_SEED", env_seed)
     paths = {"noisy": workspace["noisy"], "checkpoint": workspace["checkpoint"]}
+    for name, text in (("inf_margin", "margin = inf\n"), ("nan_lr", "lr_start = nan\n")):
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text)
     argv = [a.format(out=tmp_path / "o", **paths) for a in argv]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()

@@ -21,6 +21,13 @@ PAPER = L.LossConfig()
 DESK = L.LossConfig(k=8, lambda_n0=500, lambda_N=100)
 
 
+def positive_distance(d_euclid: float, d_topo: float, lam: float) -> float:
+    """Oracle blend lam * d_euclid + (1 - lam) * d_topo; lam must lie in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise InvalidArgumentError(f"lambda must be in [0, 1], got {lam}")
+    return lam * d_euclid + (1.0 - lam) * d_topo
+
+
 class TestLambdaSchedule:
     def test_flat_before_decay_start(self):
         for it in (0, 1, 17, 49_999, 50_000):
@@ -62,19 +69,19 @@ class TestLambdaSchedule:
 
 class TestPositiveDistance:
     def test_pure_euclidean_at_one(self):
-        assert L.positive_distance(0.4, 0.9, 1.0) == 0.4
+        assert positive_distance(0.4, 0.9, 1.0) == 0.4
 
     def test_pure_topology_at_zero(self):
-        assert L.positive_distance(0.4, 0.9, 0.0) == 0.9
+        assert positive_distance(0.4, 0.9, 0.0) == 0.9
 
     def test_even_blend(self):
-        assert L.positive_distance(0.4, 0.2, 0.5) == pytest.approx(0.3, abs=1e-15)
+        assert positive_distance(0.4, 0.2, 0.5) == pytest.approx(0.3, abs=1e-15)
 
     def test_out_of_range_lambda(self):
         with pytest.raises(InvalidArgumentError):
-            L.positive_distance(0.1, 0.1, 1.5)
+            positive_distance(0.1, 0.1, 1.5)
         with pytest.raises(InvalidArgumentError):
-            L.positive_distance(0.1, 0.1, -0.01)
+            positive_distance(0.1, 0.1, -0.01)
 
 
 def brute_hardest(i, cross):
@@ -241,7 +248,7 @@ def oracle_loss(va, vp, lam, cfg, eps):
         d_pos = cross[i, i]
         d_topo = topology.topology_distance(tvs_a[i], tvs_p[i])
         gamma_neg, _, _ = brute_hardest(i, cross)
-        gamma_pos = L.positive_distance(d_pos, d_topo, lam)
+        gamma_pos = positive_distance(d_pos, d_topo, lam)
         hinges.append(max(0.0, cfg.margin + gamma_pos - gamma_neg))
     return sum(hinges) / n
 
@@ -301,8 +308,8 @@ class TestModeEquivalences:
         assert a.mean_d_pos_topo == b.mean_d_pos_topo
 
     def test_detached_equals_frozen_weight_gradients(self):
-        # stopping the solve gradient must be the same as pasting the fitted
-        # weights into the graph as constants
+        # detached mode must be the same as pasting the fitted weights into a
+        # through-weights structure as constants
         rng = np.random.default_rng(12)
         va = unit_rows(rng, 8, 5)
         vp = unit_rows(rng, 8, 5)
@@ -317,13 +324,46 @@ class TestModeEquivalences:
             return graph.report.loss, ta.grad.copy(), tp.grad.copy()
 
         loss_detached, ga, gp = grad_for(L.select_structure(va, vp, cfg))
-        st = L.select_structure(va, vp, cfg)
-        st.frozen_wa = L.affine_weight_values(va, st.idx_a)
-        st.frozen_wp = L.affine_weight_values(vp, st.idx_p)
+        st = L.select_structure(va, vp, L.LossConfig(k=2))
+        st.frozen_wa = topology.affine_weight_values(va, st.idx_a)
+        st.frozen_wp = topology.affine_weight_values(vp, st.idx_p)
         loss_frozen, fa, fp = grad_for(st)
         assert loss_detached == loss_frozen
         np.testing.assert_array_equal(ga, fa)
         np.testing.assert_array_equal(gp, fp)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_detached_graph_fits_nothing(self, dtype, monkeypatch):
+        rng = np.random.default_rng(16)
+        va = unit_rows(rng, 8, 5).astype(dtype)
+        vp = unit_rows(rng, 8, 5).astype(dtype)
+        cfg = L.LossConfig(k=3, topology_gradient_mode="detached")
+        st = L.select_structure(va, vp, cfg)
+        np.testing.assert_array_equal(st.frozen_wa, topology.affine_weight_values(va, st.idx_a))
+        np.testing.assert_array_equal(st.frozen_wp, topology.affine_weight_values(vp, st.idx_p))
+
+        def refuse(*args):
+            raise AssertionError("a detached loss graph must not fit weights")
+
+        monkeypatch.setattr(ad, "gram_batched", refuse)
+        monkeypatch.setattr(ad, "solve_chol_batched", refuse)
+        tape = ad.Tape()
+        graph = L.build_loss_graph(ad.leaf(tape, va), ad.leaf(tape, vp), 0.25, cfg, st, tape)
+        assert graph.weights_a.value is st.frozen_wa and graph.weights_p.value is st.frozen_wp
+        assert not graph.weights_a.requires_grad and not graph.weights_p.requires_grad
+
+    def test_identical_pair_has_zero_gradient(self):
+        # rows whose self-dot rounds to 1 or above: d = 0 exactly, and the
+        # sqrt and clip gates must pass no gradient there
+        x = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5], [1.0 + 2.0**-52, 0.0, 0.0, 0.0]])
+        tape = ad.Tape()
+        a = ad.leaf(tape, x)
+        b = ad.leaf(tape, x.copy())
+        d = L._row_euclidean(a, b, tape)
+        ad.backward(tape, ad.sum_(d))
+        np.testing.assert_array_equal(d.value, 0.0)
+        np.testing.assert_array_equal(a.grad, 0.0)
+        np.testing.assert_array_equal(b.grad, 0.0)
 
     def test_through_weights_gradient_sees_the_fit(self):
         rng = np.random.default_rng(15)
