@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,11 +21,12 @@ from . import loss as lossmod
 from . import net as netmod
 from . import topology
 from .config import (
-    SEED_ENV_VAR,
     PRESETS,
+    RunConfig,
     format_config,
     parse_config_file,
     resolve_config,
+    resolve_seed,
 )
 from .errors import (
     DatasetFormatError,
@@ -36,26 +38,13 @@ from .errors import (
     SingularSystemError,
 )
 from .gradcheck import grad_check
-from .train import TrainingDivergenceError, resolve_lambda, run_training, write_log
+from .train import TrainingDivergenceError, run_training, training_split, write_log
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
-
-
-def _env_seed(value: int | None) -> int:
-    """Flag seed if given, else TCDESC_SEED, else 0; negative seeds are rejected."""
-    if value is None:
-        raw = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidArgumentError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
-    if value < 0:
-        raise InvalidArgumentError(f"seed must be >= 0, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,11 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--lambda-floor", type=float, default=None)
     tr.add_argument("--precision", choices=("double", "single"), default=None)
     tr.add_argument(
-        "--topology", choices=lossmod.GRADIENT_MODES, default=None, dest="topology_mode"
+        "--topology", choices=lossmod.GRADIENT_MODES, default=None, dest="topology_gradient_mode"
     )
-    tr.add_argument(
-        "--lambda-mode", default="dynamic", help="dynamic or fixed:<value in [0,1]>"
-    )
+    tr.add_argument("--lambda-mode", default=None, help="dynamic or fixed:<value in [0,1]>")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -130,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    seed = _env_seed(args.seed)
+    seed = resolve_seed(args.seed)
     ds = datamod.generate(seed, args.scenes, args.dim, args.noise, args.distortion)
     datamod.write_dataset(ds, args.out)
     print(
@@ -142,23 +129,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     file_values = parse_config_file(args.config) if args.config else {}
-    flag_values = {
-        "dataset": args.dataset,
-        "out_dir": args.out_dir,
-        "seed": args.seed,
-        "batch_size": args.batch_size,
-        "iterations": args.iterations,
-        "k": args.k,
-        "margin": args.margin,
-        "lr_start": args.lr_start,
-        "lr_end": args.lr_end,
-        "lambda_n0": args.lambda_n0,
-        "lambda_N": args.lambda_N,
-        "lambda_r": args.lambda_r,
-        "lambda_floor": args.lambda_floor,
-        "precision": args.precision,
-        "topology_gradient_mode": args.topology_mode,
-    }
+    # Every RunConfig field has a flag whose dest is the field's name.
+    flag_values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     if args.net_widths is not None:
         try:
             flag_values["net_widths"] = tuple(int(w) for w in args.net_widths.split(","))
@@ -167,7 +139,6 @@ def cmd_train(args) -> int:
                 f"--net-widths must be comma-separated integers, got {args.net_widths!r}"
             ) from None
     cfg = resolve_config(args.preset, file_values, flag_values)
-    resolve_lambda(0, cfg, args.lambda_mode)  # reject a bad --lambda-mode before writing
     if not cfg.dataset:
         print("error: a dataset path is required (--dataset or config file)", file=sys.stderr)
         return EXIT_USAGE
@@ -175,11 +146,12 @@ def cmd_train(args) -> int:
         print("error: an output directory is required (--out-dir or config file)", file=sys.stderr)
         return EXIT_USAGE
     dataset = datamod.read_dataset(cfg.dataset)
+    training_split(cfg, dataset)  # reject a run that cannot start before writing anything
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config.txt"), "w") as fh:
         fh.write(format_config(cfg))
     try:
-        result = run_training(cfg, dataset, lambda_mode=args.lambda_mode)
+        result = run_training(cfg, dataset)
     except TrainingDivergenceError as exc:
         print(
             f"error: training diverged: {exc}; last good iteration "
@@ -215,7 +187,7 @@ def cmd_eval(args) -> int:
         ds = heldout_ds if args.split == "heldout" else train_ds
     desc_a = netmod.embed(net, ds.views_a)
     desc_p = netmod.embed(net, ds.views_p)
-    rng = np.random.default_rng(_env_seed(args.seed))
+    rng = np.random.default_rng(resolve_seed(args.seed))
     report = metrics.evaluate_descriptors(
         desc_a, desc_p, args.negatives_per_positive, rng
     )
@@ -235,7 +207,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     net, ds = _load_net_and_data(args.checkpoint, args.dataset)
     batch_size = min(args.batch_size, ds.scene_count)
-    rng = np.random.default_rng(_env_seed(args.seed))
+    rng = np.random.default_rng(resolve_seed(args.seed))
     _, batch_a, batch_p = datamod.sample_batch(ds, batch_size, rng)
     desc_a = netmod.embed(net, batch_a)
     desc_p = netmod.embed(net, batch_p)
@@ -261,7 +233,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = _env_seed(args.seed)
+    seed = resolve_seed(args.seed)
     if not 0.0 <= args.lam <= 1.0:
         raise InvalidArgumentError(f"--lam must be in [0, 1], got {args.lam}")
     if not 0.0 < args.tol < np.inf:

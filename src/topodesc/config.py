@@ -1,5 +1,8 @@
 """Run configuration: presets, flat key=value config files, and precedence.
 
+A config-file key is a RunConfig field name, and config.txt renders every
+field, so a run's config.txt reproduces it.
+
 Precedence is flags over file values over preset defaults. The seed
 additionally falls back to the TCDESC_SEED environment variable when
 neither a flag nor a file provides one.
@@ -7,6 +10,7 @@ neither a flag nor a file provides one.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -20,16 +24,16 @@ PRECISIONS = ("double", "single")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a training run needs, resolvable from preset/file/flags."""
+class RunConfig(LossConfig):
+    """Everything a training run needs, resolvable from preset/file/flags.
 
-    margin: float = 1.0
+    LossConfig's fields come first, with desk defaults for k and the
+    schedule. lambda_mode is "dynamic" (the schedule) or "fixed:<value>".
+    """
+
     k: int = 8
     lambda_n0: int = 500
     lambda_N: int = 100
-    lambda_r: float = 0.025
-    lambda_floor: float = 0.5
-    topology_gradient_mode: str = "through-weights"
     net_widths: tuple[int, ...] = (16, 64, 64, 32)
     batch_size: int = 64
     iterations: int = 2000
@@ -39,9 +43,10 @@ class RunConfig:
     dataset: str = ""
     out_dir: str = ""
     precision: str = "double"
+    lambda_mode: str = "dynamic"
 
     def __post_init__(self):
-        self.loss_config()
+        super().__post_init__()
         if len(self.net_widths) < 2 or any(w < 1 for w in self.net_widths):
             raise InvalidArgumentError(f"net_widths needs >= 2 positive entries, got {self.net_widths}")
         if self.batch_size < 2:
@@ -56,17 +61,23 @@ class RunConfig:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         if self.precision not in PRECISIONS:
             raise InvalidArgumentError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
+        if self.lambda_mode != "dynamic":
+            self.fixed_lambda()
 
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            margin=self.margin,
-            k=self.k,
-            lambda_n0=self.lambda_n0,
-            lambda_N=self.lambda_N,
-            lambda_r=self.lambda_r,
-            lambda_floor=self.lambda_floor,
-            topology_gradient_mode=self.topology_gradient_mode,
-        )
+    def fixed_lambda(self) -> float:
+        """The blend value of a "fixed:<value>" lambda_mode, validated."""
+        if not self.lambda_mode.startswith("fixed:"):
+            raise InvalidArgumentError(
+                f"lambda_mode must be 'dynamic' or 'fixed:<value>', got {self.lambda_mode!r}"
+            )
+        raw = self.lambda_mode.removeprefix("fixed:")
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not 0.0 <= value <= 1.0:
+            raise InvalidArgumentError(f"fixed lambda must be a number in [0, 1], got {raw!r}")
+        return value
 
     def dtype(self):
         return np.float64 if self.precision == "double" else np.float32
@@ -88,23 +99,31 @@ PAPER_PRESET = {
 
 PRESETS = {"desk": DESK_PRESET, "paper": PAPER_PRESET}
 
-_INT_KEYS = {"k", "lambda_n0", "lambda_N", "batch_size", "iterations", "seed"}
-_FLOAT_KEYS = {"margin", "lambda_r", "lambda_floor", "lr_start", "lr_end"}
-_STR_KEYS = {"topology_gradient_mode", "dataset", "out_dir", "precision"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"net_widths"}
+# A key's value parses as the type of its field's default.
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
+    kind = type(_DEFAULTS[key])
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "net_widths":
+        if kind is tuple:
             return tuple(int(part) for part in raw.split(",") if part.strip())
+        return kind(raw)
     except ValueError:
         raise InvalidInputError(f"cannot parse value {raw!r} for key {key!r}") from None
-    return raw
+
+
+def resolve_seed(seed: int | None) -> int:
+    """seed if given, else TCDESC_SEED, else 0; a negative seed is rejected."""
+    if seed is None:
+        raw = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise InvalidInputError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def parse_config_file(path: str) -> dict:
@@ -118,7 +137,7 @@ def parse_config_file(path: str) -> dict:
             if "=" not in text:
                 raise InvalidInputError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _ALL_KEYS:
+            if key not in _DEFAULTS:
                 raise InvalidInputError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = _parse_value(key, raw)
     return values
@@ -138,15 +157,10 @@ def resolve_config(
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in _ALL_KEYS:
+            if key not in _DEFAULTS:
                 raise InvalidInputError(f"unknown config key {key!r}")
             merged[key] = value
-    if "seed" not in merged and SEED_ENV_VAR in os.environ:
-        raw = os.environ[SEED_ENV_VAR]
-        try:
-            merged["seed"] = int(raw)
-        except ValueError:
-            raise InvalidInputError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
+    merged["seed"] = resolve_seed(merged.get("seed"))
     return RunConfig(**merged)
 
 

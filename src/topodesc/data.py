@@ -41,6 +41,7 @@ class DatasetFile:
         return self.scene_ids.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is caught as non-finite patches
 def generate(
     seed: int, scenes: int, dim: int, noise_sigma: float, distortion: float
 ) -> DatasetFile:
@@ -74,6 +75,10 @@ def generate(
     noise_p = rng.standard_normal((scenes, dim))
     views_a = (latents + noise_sigma * noise_a).astype(np.float32).astype(np.float64)
     views_p = (warped + noise_sigma * noise_p).astype(np.float32).astype(np.float64)
+    if not (np.isfinite(views_a).all() and np.isfinite(views_p).all()):
+        raise InvalidArgumentError(
+            f"noise_sigma {noise_sigma} and distortion {distortion} overflow float32 patches"
+        )
     return DatasetFile(
         version=DATASET_VERSION,
         dim=dim,
@@ -136,6 +141,13 @@ def read_dataset(path: str) -> DatasetFile:
     if len(blob) > expected:
         raise DatasetFormatError(f"unexpected trailing bytes at offset {expected}")
     records = np.frombuffer(blob, dtype=rec, count=scene_count, offset=_HEADER.size)
+    # Each record is one uint32 scene id, then 2 * dim float32 values.
+    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(scene_count, 1 + 2 * dim)
+    bad = ~np.isfinite(values[:, 1:])
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), 2 * dim)
+        offset = _HEADER.size + rec.itemsize * row + 4 * (1 + col)
+        raise DatasetFormatError(f"non-finite patch value at offset {offset}")
     return DatasetFile(
         version=version,
         dim=dim,

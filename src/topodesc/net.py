@@ -206,6 +206,9 @@ def load_checkpoint(path: str, dtype=np.float64) -> EmbeddingNet:
         offset += bbytes
     if offset != len(blob):
         raise DatasetFormatError(f"unexpected trailing bytes at offset {offset}")
+    bad = ~np.isfinite(np.frombuffer(blob, dtype="<f8", offset=need))
+    if bad.any():
+        raise DatasetFormatError(f"non-finite parameter at offset {need + 8 * int(np.argmax(bad))}")
     tags = ("tanh",) * (len(widths) - 2) + ("linear",)
     return EmbeddingNet(widths=tuple(widths), weights=weights, biases=biases, activations=tags)
 

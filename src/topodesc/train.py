@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,61 +54,59 @@ def learning_rate(iteration: int, cfg: RunConfig) -> float:
     return cfg.lr_start + (cfg.lr_end - cfg.lr_start) * frac
 
 
-def resolve_lambda(iteration: int, cfg: RunConfig, lambda_mode: str) -> float:
-    """Map the --lambda-mode string to a blend value for this iteration."""
-    if lambda_mode == "dynamic":
-        value = lossmod.lambda_schedule(iteration, cfg.loss_config())
-    elif lambda_mode.startswith("fixed:"):
-        raw = lambda_mode.removeprefix("fixed:")
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not 0.0 <= value <= 1.0:
-            raise InvalidArgumentError(f"fixed lambda must be a number in [0, 1], got {raw!r}")
-    else:
-        raise InvalidArgumentError(
-            f"lambda_mode must be 'dynamic' or 'fixed:<value>', got {lambda_mode!r}"
-        )
-    return 1.0 if cfg.topology_gradient_mode == "off" else value
+def resolve_lambda(iteration: int, cfg: RunConfig) -> float:
+    """The blend value of cfg.lambda_mode at this iteration; 1.0 when topology is off."""
+    if cfg.topology_gradient_mode == "off":
+        return 1.0
+    if cfg.lambda_mode == "dynamic":
+        return lossmod.lambda_schedule(iteration, cfg)
+    return cfg.fixed_lambda()
 
 
-def run_training(
-    cfg: RunConfig,
-    dataset: datamod.DatasetFile | None = None,
-    lambda_mode: str = "dynamic",
-) -> TrainResult:
+def training_split(cfg: RunConfig, dataset: datamod.DatasetFile) -> datamod.DatasetFile:
+    """The dataset's training split, once cfg fits it.
+
+    Rejects the net input width, batch size and k the first step would fail
+    on, with that step's messages, so a run that cannot start writes nothing.
+    """
+    if cfg.net_widths[0] != dataset.dim:
+        raise InvalidArgumentError(f"net input width {cfg.net_widths[0]} != dataset dim {dataset.dim}")
+    train_ds, _ = datamod.split_train_heldout(dataset)
+    n_train = train_ds.scene_count
+    if cfg.batch_size > n_train:
+        raise InvalidArgumentError(f"batch_size must be in [1, {n_train}], got {cfg.batch_size}")
+    if cfg.k >= cfg.batch_size:
+        raise InvalidArgumentError(f"k must be in [1, n-1] = [1, {cfg.batch_size - 1}], got {cfg.k}")
+    return train_ds
+
+
+def run_training(cfg: RunConfig, dataset: datamod.DatasetFile | None = None) -> TrainResult:
     """Train a fresh net on the training split of the dataset.
 
-    Fully deterministic for a fixed (cfg, lambda_mode): initialization and
-    batch sampling use independent child seeds of cfg.seed. Raises
+    Fully deterministic for a fixed cfg: initialization and batch sampling
+    use independent child seeds of cfg.seed. Raises
     TrainingDivergenceError the first time descriptors or the loss stop
     being finite.
     """
     if dataset is None:
         dataset = datamod.read_dataset(cfg.dataset)
-    train_ds, _ = datamod.split_train_heldout(dataset)
-    if cfg.net_widths[0] != dataset.dim:
-        raise InvalidArgumentError(
-            f"net input width {cfg.net_widths[0]} != dataset dim {dataset.dim}"
-        )
+    train_ds = training_split(cfg, dataset)
     init_seed, sample_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     net = netmod.init_net(cfg.net_widths, np.random.default_rng(init_seed), dtype=cfg.dtype())
     sample_rng = np.random.default_rng(sample_seed)
-    loss_cfg = cfg.loss_config()
     state = None
     rows: list[lossmod.LossReport] = []
 
     for i in range(cfg.iterations):
         _, batch_a, batch_p = datamod.sample_batch(train_ds, cfg.batch_size, sample_rng)
-        lam = resolve_lambda(i, cfg, lambda_mode)
+        lam = resolve_lambda(i, cfg)
         tape = ad.Tape()
         try:
             leaves = netmod.make_leaves(net, tape)
             desc_a, _ = netmod.forward(net, batch_a, tape, leaves)
             desc_p, _ = netmod.forward(net, batch_p, tape, leaves)
-            structure = lossmod.select_structure(desc_a.value, desc_p.value, loss_cfg)
-            graph = lossmod.build_loss_graph(desc_a, desc_p, lam, loss_cfg, structure, tape)
+            structure = lossmod.select_structure(desc_a.value, desc_p.value, cfg)
+            graph = lossmod.build_loss_graph(desc_a, desc_p, lam, cfg, structure, tape)
         except (DegenerateDescriptorError, DegenerateFitError, SingularSystemError) as exc:
             raise TrainingDivergenceError(str(exc), i - 1) from exc
         if not np.isfinite(graph.loss.value):

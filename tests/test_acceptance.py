@@ -188,9 +188,9 @@ def desk_runs(desk_dataset):
 
 def test_criterion_5_topology_off_reduces_to_plain_triplet_loss(desk_dataset):
     cfg_off = RunConfig(seed=3, iterations=100, topology_gradient_mode="off")
-    cfg_fixed = RunConfig(seed=3, iterations=100)
+    cfg_fixed = RunConfig(seed=3, iterations=100, lambda_mode="fixed:1.0")
     off = train.run_training(cfg_off, dataset=desk_dataset)
-    fixed = train.run_training(cfg_fixed, dataset=desk_dataset, lambda_mode="fixed:1.0")
+    fixed = train.run_training(cfg_fixed, dataset=desk_dataset)
     worst = 0.0
     for row_off, row_fixed in zip(off.rows, fixed.rows):
         worst = max(worst, abs(row_off.loss - row_fixed.loss))

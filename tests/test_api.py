@@ -13,6 +13,7 @@ REMOVED = [
     (data, "PatchPair"),
     (data.DatasetFile, "pair"),
     (config, "config_as_dict"),
+    (config.RunConfig, "loss_config"),
     (autodiff, "_wrap"),
     (autodiff, "where_mask"),
     (autodiff, "trace_batched"),

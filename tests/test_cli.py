@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, run in process via cli.main."""
 
 import re
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from topodesc import autodiff as ad
 from topodesc import cli, data, knn
 from topodesc import net as netmod
 from topodesc import train as trainmod
+from topodesc.config import RunConfig, parse_config_file, resolve_config
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +111,29 @@ TRAIN_FLAGS = [
     "2",
 ]
 
+# A value other than the default for every RunConfig field but the two paths.
+FIELD_VALUES = {
+    "margin": 0.5,
+    "k": 3,
+    "lambda_n0": 4,
+    "lambda_N": 2,
+    "lambda_r": 0.05,
+    "lambda_floor": 0.75,
+    "topology_gradient_mode": "detached",
+    "net_widths": (6, 12, 4),
+    "batch_size": 8,
+    "iterations": 3,
+    "lr_start": 0.05,
+    "lr_end": 0.01,
+    "seed": 7,
+    "precision": "single",
+    "lambda_mode": "fixed:0.25",
+}
+
+
+def _as_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
 
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path, capsys):
@@ -188,6 +214,7 @@ class TestTrain:
         blocker.write_text("")
         code = cli.main(
             ["train", "--dataset", str(workspace["noisy"]), "--out-dir", str(blocker / "run")]
+            + TRAIN_FLAGS
         )
         assert code == 3
         assert capsys.readouterr().err.startswith("error: ")
@@ -276,6 +303,56 @@ class TestTrain:
         )
         assert code == 0
         assert "seed = 123" in (out / "config.txt").read_text()
+
+    def test_config_echo_reproduces_the_run(self, workspace, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        code = cli.main(
+            ["train", "--dataset", str(workspace["noisy"]), "--out-dir", str(first), "--seed", "6"]
+            + ["--lambda-mode", "fixed:0.5", "--topology", "detached"]
+            + TRAIN_FLAGS
+        )
+        assert code == 0
+        echo = first / "config.txt"
+        assert cli.main(["train", "--config", str(echo), "--out-dir", str(second)]) == 0
+        for name in ("model.tcd1", "train_log.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        assert (second / "config.txt").read_text() == echo.read_text().replace(
+            str(first), str(second)
+        )
+        expected = RunConfig(
+            dataset=str(workspace["noisy"]),
+            out_dir=str(first),
+            seed=6,
+            lambda_mode="fixed:0.5",
+            topology_gradient_mode="detached",
+            net_widths=(6, 16, 8),
+            batch_size=8,
+            iterations=30,
+            k=3,
+            lambda_n0=4,
+            lambda_N=2,
+        )
+        assert resolve_config(file_values=parse_config_file(str(echo))) == expected
+
+    @pytest.mark.parametrize("source", ["flags", "config-file"])
+    def test_every_field_can_be_set(self, source, workspace, tmp_path):
+        out = tmp_path / "run"
+        values = dict(FIELD_VALUES, dataset=str(workspace["noisy"]), out_dir=str(out))
+        assert sorted(values) == sorted(f.name for f in fields(RunConfig))
+        defaults = RunConfig()
+        assert all(value != getattr(defaults, name) for name, value in values.items())
+        if source == "flags":
+            argv = ["train"]
+            for name, value in values.items():
+                flag = "--" + name.replace("_", "-")
+                argv += ["--topology" if name == "topology_gradient_mode" else flag, _as_text(value)]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text("".join(f"{name} = {_as_text(v)}\n" for name, v in values.items()))
+            argv = ["train", "--config", str(cfg_file)]
+        assert cli.main(argv) == 0
+        echo = parse_config_file(str(out / "config.txt"))
+        assert resolve_config(file_values=echo) == RunConfig(**values)
 
     def test_bad_lambda_mode_is_usage_error(self, workspace, tmp_path, capsys):
         code = cli.main(
@@ -506,6 +583,19 @@ class TestGradcheckCommand:
         (["train", "--config", "{inf_margin}", "--dataset", "{noisy}", "--out-dir", "{out}"], None),
         (["train", "--config", "{nan_lr}", "--dataset", "{noisy}", "--out-dir", "{out}"], None),
         (["gradcheck", "--tol", "nan"], None),
+        (["generate", "--noise", "1e39", "--out", "{out}"], None),
+        (["train", "--config", "{bad_mode}", "--dataset", "{noisy}", "--out-dir", "{out}"], None),
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--net-widths", "5,8"], None),
+        (
+            ["train", "--dataset", "{noisy}", "--out-dir", "{out}"]
+            + ["--net-widths", "6,8", "--batch-size", "49"],  # 48 training scenes
+            None,
+        ),
+        (
+            ["train", "--dataset", "{noisy}", "--out-dir", "{out}"]
+            + ["--net-widths", "6,8", "--batch-size", "8", "--k", "8"],
+            None,
+        ),
     ],
     ids=[
         "train-net-widths",
@@ -528,6 +618,11 @@ class TestGradcheckCommand:
         "train-config-margin-inf",
         "train-config-lr-start-nan",
         "gradcheck-tol-nan",
+        "generate-noise-overflows-float32",
+        "train-config-lambda-mode",
+        "train-net-width-vs-dataset-dim",
+        "train-batch-size-vs-train-split",
+        "train-k-vs-batch-size",
     ],
 )
 def test_bad_argument_exits_2_with_one_error_line(
@@ -538,7 +633,11 @@ def test_bad_argument_exits_2_with_one_error_line(
     else:
         monkeypatch.setenv("TCDESC_SEED", env_seed)
     paths = {"noisy": workspace["noisy"], "checkpoint": workspace["checkpoint"]}
-    for name, text in (("inf_margin", "margin = inf\n"), ("nan_lr", "lr_start = nan\n")):
+    for name, text in (
+        ("inf_margin", "margin = inf\n"),
+        ("nan_lr", "lr_start = nan\n"),
+        ("bad_mode", "lambda_mode = fixed:2\n"),
+    ):
         paths[name] = tmp_path / f"{name}.cfg"
         paths[name].write_text(text)
     argv = [a.format(out=tmp_path / "o", **paths) for a in argv]
@@ -546,3 +645,25 @@ def test_bad_argument_exits_2_with_one_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "o").exists()  # nothing written before the argument was rejected
+
+
+@pytest.mark.parametrize(
+    "command, corrupt",
+    [("eval", "dataset"), ("eval", "checkpoint"), ("inspect", "dataset"), ("inspect", "checkpoint")],
+)
+def test_non_finite_input_file_exits_3(command, corrupt, workspace, tmp_path, capsys):
+    paths = {"dataset": workspace["noisy"], "checkpoint": workspace["checkpoint"]}
+    blob = bytearray(paths[corrupt].read_bytes())
+    if corrupt == "dataset":
+        offset = 40 + 52 + 4  # header, scene 0 (id + 12 float32), scene 1's id
+        struct.pack_into("<f", blob, offset, np.nan)
+    else:
+        offset = 8 + 12  # magic and count, three widths: the first weight
+        struct.pack_into("<d", blob, offset, np.inf)
+    paths[corrupt] = tmp_path / ("bad" + paths[corrupt].suffix)
+    paths[corrupt].write_bytes(bytes(blob))
+    argv = [command, "--checkpoint", str(paths["checkpoint"]), "--dataset", str(paths["dataset"])]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+    assert err[0].endswith(f"at offset {offset}")

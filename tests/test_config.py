@@ -1,10 +1,13 @@
 """Config file parsing, preset merging, and seed fallback."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from topodesc import config as C
 from topodesc.errors import InvalidArgumentError, InvalidInputError
+from topodesc.loss import LossConfig
 
 
 class TestRunConfig:
@@ -21,11 +24,13 @@ class TestRunConfig:
 
     def test_loss_config_carries_shared_fields(self):
         cfg = C.RunConfig(margin=0.75, k=5, lambda_r=0.05)
-        lc = cfg.loss_config()
-        assert lc.margin == 0.75
-        assert lc.k == 5
-        assert lc.lambda_r == 0.05
-        assert lc.topology_gradient_mode == cfg.topology_gradient_mode
+        assert isinstance(cfg, LossConfig)
+        loss_fields = [f.name for f in fields(LossConfig)]
+        assert [f.name for f in fields(cfg)][: len(loss_fields)] == loss_fields
+        assert (cfg.margin, cfg.k, cfg.lambda_r) == (0.75, 5, 0.05)
+        assert cfg.lambda_floor == LossConfig().lambda_floor
+        with pytest.raises(InvalidArgumentError, match="lambda_floor"):
+            C.RunConfig(lambda_floor=0.0)  # LossConfig's checks run too
 
     def test_dtype_mapping(self):
         assert C.RunConfig().dtype() is np.float64
@@ -46,6 +51,12 @@ class TestRunConfig:
             C.RunConfig(precision="half")
         with pytest.raises(InvalidArgumentError):
             C.RunConfig(margin=-1.0)
+        with pytest.raises(InvalidArgumentError, match="lambda_mode must be"):
+            C.RunConfig(lambda_mode="sometimes")
+        with pytest.raises(InvalidArgumentError, match="fixed lambda must be"):
+            C.RunConfig(lambda_mode="fixed:1.5")
+        with pytest.raises(InvalidArgumentError, match="fixed lambda must be"):
+            C.RunConfig(lambda_mode="fixed:abc")
 
 
 class TestConfigFile:
@@ -58,6 +69,7 @@ class TestConfigFile:
             "margin=0.8\n"
             "net_widths = 16, 32, 8\n"
             "precision = single\n"
+            "lambda_mode = fixed:0.5\n"
         )
         values = C.parse_config_file(str(path))
         assert values == {
@@ -65,6 +77,7 @@ class TestConfigFile:
             "margin": 0.8,
             "net_widths": (16, 32, 8),
             "precision": "single",
+            "lambda_mode": "fixed:0.5",
         }
 
     def test_unknown_key_names_the_line(self, tmp_path):
@@ -86,7 +99,9 @@ class TestConfigFile:
             C.parse_config_file(str(path))
 
     def test_round_trip_through_format(self, tmp_path):
-        cfg = C.RunConfig(k=5, margin=0.75, net_widths=(8, 24, 8), dataset="d.tcpd")
+        cfg = C.RunConfig(
+            k=5, margin=0.75, net_widths=(8, 24, 8), dataset="d.tcpd", lambda_mode="fixed:0.25"
+        )
         path = tmp_path / "echo.cfg"
         path.write_text(C.format_config(cfg))
         values = C.parse_config_file(str(path))

@@ -65,6 +65,11 @@ class TestGenerate:
         with pytest.raises(InvalidArgumentError):
             data.generate(seed=0, scenes=4, dim=4, noise_sigma=0.1, distortion=-0.1)
 
+    @pytest.mark.parametrize("noise_sigma, distortion", [(1e39, 0.1), (0.1, 1e308)])
+    def test_float32_overflow_rejected(self, noise_sigma, distortion):
+        with pytest.raises(InvalidArgumentError, match="overflow float32"):
+            data.generate(seed=0, scenes=4, dim=4, noise_sigma=noise_sigma, distortion=distortion)
+
 
 class TestRoundTrip:
     def test_write_read_preserves_everything(self, tmp_path):
@@ -161,6 +166,18 @@ class TestFormatErrors:
         struct.pack_into("<I", blob, 12, 0)
         path.write_bytes(bytes(blob))
         with pytest.raises(DatasetFormatError, match="offset 12"):
+            data.read_dataset(str(path))
+
+    @pytest.mark.parametrize("value, scene, slot", [(np.nan, 0, 0), (np.inf, 2, 4), (-np.inf, 3, 5)])
+    def test_non_finite_value_names_first_offset(self, tmp_path, value, scene, slot):
+        path = self.make_file(tmp_path)
+        blob = bytearray(path.read_bytes())
+        # 40-byte header; records are a uint32 id then 3 + 3 float32 values.
+        offset = 40 + 28 * scene + 4 + 4 * slot
+        struct.pack_into("<f", blob, offset, value)
+        struct.pack_into("<f", blob, 40 + 28 * 3 + 4 + 4 * 5, np.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetFormatError, match=f"non-finite patch value at offset {offset}$"):
             data.read_dataset(str(path))
 
 

@@ -280,6 +280,19 @@ class TestCheckpoint:
         with pytest.raises(DatasetFormatError, match="zero layer width"):
             nm.load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("value, index", [(np.inf, 0), (-np.inf, 13), (np.nan, 19)])
+    def test_non_finite_parameter_names_first_offset(self, tmp_path, value, index):
+        net = fresh_net(widths=(3, 4, 2), seed=22)
+        path = tmp_path / "model.tcd1"
+        nm.save_checkpoint(net, str(path))
+        blob = bytearray(path.read_bytes())
+        offset = 8 + 12 + 8 * index  # parameter index in file order: W0, b0, W1, b1
+        struct.pack_into("<d", blob, offset, value)
+        struct.pack_into("<d", blob, len(blob) - 8, np.inf)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetFormatError, match=f"non-finite parameter at offset {offset}$"):
+            nm.load_checkpoint(str(path))
+
 
 class TestCast:
     def test_cast_round_trip(self):

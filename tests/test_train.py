@@ -1,6 +1,7 @@
 """Training loop determinism, schedule plumbing, and the CSV log."""
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,27 +51,24 @@ class TestResolveLambda:
         from topodesc.loss import lambda_schedule
 
         for i in (0, 4, 5, 7, 11):
-            assert train.resolve_lambda(i, cfg, "dynamic") == lambda_schedule(i, cfg.loss_config())
+            assert train.resolve_lambda(i, cfg) == lambda_schedule(i, cfg)
 
     def test_fixed_value(self):
-        cfg = tiny_config()
-        assert train.resolve_lambda(3, cfg, "fixed:0.75") == 0.75
-        assert train.resolve_lambda(3, cfg, "fixed:1.0") == 1.0
+        assert train.resolve_lambda(3, tiny_config(lambda_mode="fixed:0.75")) == 0.75
+        assert train.resolve_lambda(3, tiny_config(lambda_mode="fixed:1.0")) == 1.0
 
     def test_off_mode_pins_lambda_to_one(self):
         cfg = tiny_config(topology_gradient_mode="off")
-        assert train.resolve_lambda(9999, cfg, "dynamic") == 1.0
-        assert train.resolve_lambda(9999, cfg, "fixed:0.25") == 1.0
+        assert train.resolve_lambda(9999, cfg) == 1.0
+        assert train.resolve_lambda(9999, replace(cfg, lambda_mode="fixed:0.25")) == 1.0
 
     def test_fixed_out_of_range(self):
-        cfg = tiny_config()
         with pytest.raises(InvalidArgumentError):
-            train.resolve_lambda(0, cfg, "fixed:1.5")
+            tiny_config(lambda_mode="fixed:1.5")
 
     def test_unknown_mode(self):
-        cfg = tiny_config()
         with pytest.raises(InvalidArgumentError, match="lambda_mode"):
-            train.resolve_lambda(0, cfg, "sometimes")
+            tiny_config(lambda_mode="sometimes")
 
 
 class TestRunTraining:
@@ -103,7 +101,7 @@ class TestRunTraining:
         from topodesc.loss import lambda_schedule
 
         for i, row in enumerate(result.rows):
-            assert row.lam == lambda_schedule(i, cfg.loss_config())
+            assert row.lam == lambda_schedule(i, cfg)
 
     def test_training_improves_the_loss(self):
         cfg = tiny_config(iterations=80, seed=3)
