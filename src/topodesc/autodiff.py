@@ -72,7 +72,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _node(tape: Tape, value, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+def node(tape: Tape, value, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """The output of one op; recorded on the tape when a parent is trainable.
+
+    backward_fn(g) receives the output's adjoint and accumulates each
+    parent's share. Ops outside this module (topology.affine_weights) are
+    built with it too.
+    """
     out = Tensor(value, tape, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._backward = backward_fn
@@ -96,10 +102,10 @@ def backward(tape: Tape, root: Tensor | None = None, adjoint=1.0) -> None:
         return
     seed = np.asarray(adjoint, dtype=root.value.dtype)
     root._accumulate(seed)
-    for node in reversed(tape.nodes):
-        if node.grad is None or node._backward is None:
+    for t in reversed(tape.nodes):
+        if t.grad is None or t._backward is None:
             continue
-        node._backward(node.grad)
+        t._backward(t.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +119,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_unbroadcast(g, a.value.shape))
         b._accumulate(_unbroadcast(g, b.value.shape))
 
-    return _node(a.tape or b.tape, value, (a, b), back)
+    return node(a.tape or b.tape, value, (a, b), back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -123,7 +129,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_unbroadcast(g, a.value.shape))
         b._accumulate(_unbroadcast(-g, b.value.shape))
 
-    return _node(a.tape or b.tape, value, (a, b), back)
+    return node(a.tape or b.tape, value, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -133,7 +139,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_unbroadcast(g * b.value, a.value.shape))
         b._accumulate(_unbroadcast(g * a.value, b.value.shape))
 
-    return _node(a.tape or b.tape, value, (a, b), back)
+    return node(a.tape or b.tape, value, (a, b), back)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -143,7 +149,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_unbroadcast(g / b.value, a.value.shape))
         b._accumulate(_unbroadcast(-g * value / b.value, b.value.shape))
 
-    return _node(a.tape or b.tape, value, (a, b), back)
+    return node(a.tape or b.tape, value, (a, b), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -153,7 +159,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(_unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape))
         b._accumulate(_unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape))
 
-    return _node(a.tape or b.tape, value, (a, b), back)
+    return node(a.tape or b.tape, value, (a, b), back)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -162,7 +168,7 @@ def transpose(a: Tensor) -> Tensor:
     def back(g):
         a._accumulate(g.swapaxes(-1, -2))
 
-    return _node(a.tape, value, (a,), back)
+    return node(a.tape, value, (a,), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -171,7 +177,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def back(g):
         a._accumulate(g.reshape(a.value.shape))
 
-    return _node(a.tape, value, (a,), back)
+    return node(a.tape, value, (a,), back)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -183,7 +189,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         a._accumulate(np.broadcast_to(g, a.value.shape))
 
-    return _node(a.tape, value, (a,), back)
+    return node(a.tape, value, (a,), back)
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -192,7 +198,7 @@ def abs_(a: Tensor) -> Tensor:
     def back(g):
         a._accumulate(g * np.sign(a.value))
 
-    return _node(a.tape, value, (a,), back)
+    return node(a.tape, value, (a,), back)
 
 
 def sqrt_(a: Tensor) -> Tensor:
@@ -202,7 +208,7 @@ def sqrt_(a: Tensor) -> Tensor:
         safe = np.where(a.value > 0, value, 1.0)
         a._accumulate(np.where(a.value > 0, 0.5 * g / safe, 0.0))
 
-    return _node(a.tape, value, (a,), back)
+    return node(a.tape, value, (a,), back)
 
 
 def tanh_(a: Tensor) -> Tensor:
@@ -211,7 +217,7 @@ def tanh_(a: Tensor) -> Tensor:
     def back(g):
         a._accumulate(g * (1.0 - value * value))
 
-    return _node(a.tape, value, (a,), back)
+    return node(a.tape, value, (a,), back)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -220,7 +226,7 @@ def relu(a: Tensor) -> Tensor:
     def back(g):
         a._accumulate(g * (a.value > 0))
 
-    return _node(a.tape, value, (a,), back)
+    return node(a.tape, value, (a,), back)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -229,71 +235,46 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     def back(g):
         a._accumulate(g * ((a.value > lo) & (a.value < hi)))
 
-    return _node(a.tape, value, (a,), back)
+    return node(a.tape, value, (a,), back)
 
 
 def take(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Row gather a[indices]; backward scatter-adds into the source.
-
-    The scatter is one bincount over flat (row, trailing slot) positions,
-    which adds each position's terms in gather order, in double precision.
-    """
+    """Row gather a[indices]; backward scatter-adds into the source (scatter_rows)."""
     idx = np.asarray(indices)
     value = a.value[idx]
 
     def back(g):
-        if not a.requires_grad:
-            return
-        rows, width = a.value.shape[0], math.prod(a.value.shape[1:])
-        slots = (idx.reshape(-1, 1) % rows) * width + np.arange(width)
-        buf = np.bincount(slots.ravel(), weights=g.reshape(-1), minlength=a.value.size)
-        a._accumulate(buf.reshape(a.value.shape))
+        if a.requires_grad:
+            a._accumulate(scatter_rows(idx, g, a.value.shape))
 
-    return _node(a.tape, value, (a,), back)
+    return node(a.tape, value, (a,), back)
+
+
+def scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of `shape` plus g[p] added at row idx[p], in double precision.
+
+    g has shape idx.shape + shape[1:]. One bincount over flat (row, trailing
+    slot) positions adds each position's terms in idx order.
+    """
+    rows, width = shape[0], math.prod(shape[1:])
+    slots = (idx.reshape(-1, 1) % rows) * width + np.arange(width)
+    return np.bincount(slots.ravel(), weights=g.reshape(-1), minlength=rows * width).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
-# batched ops for the per-anchor affine fits
+# batched linear algebra for the per-anchor affine fits
+#
+# The array helpers carry the math; the fused fit node
+# (topology.affine_weights) and the two tape ops below all call them.
 
 
-def gram_batched(d: Tensor) -> Tensor:
+def mirrored_gram(d: np.ndarray) -> np.ndarray:
     """S_i = D_i D_i^T for a stack of difference matrices (n, k, dim).
 
     The lower triangle is mirrored so every S_i is bitwise symmetric.
     """
-    full = d.value @ d.value.swapaxes(-1, -2)
-    lower = np.tril(full)
-    value = lower + np.tril(full, -1).swapaxes(-1, -2)
-
-    def back(g):
-        d._accumulate((g + g.swapaxes(-1, -2)) @ d.value)
-
-    return _node(d.tape, value, (d,), back)
-
-
-def regularize_batched(s: Tensor, eps: np.ndarray) -> Tensor:
-    """M_i = S_i + eps_i * trace(S_i) / k * I, or S_i + eps_i * I where trace(S_i) == 0.
-
-    s is a stack (n, k, k) and eps a fixed per-system array (n,). The
-    gradient reaches S through the trace term as well, except where the
-    trace is zero and the shift is the constant eps_i.
-    """
-    k = s.value.shape[-1]
-    dtype = s.value.dtype
-    idx = np.arange(k)
-    eye = np.eye(k, dtype=dtype)
-    tr = s.value[:, idx, idx].sum(axis=-1)
-    nonzero = tr != 0
-    coef = (eps / k).astype(dtype)
-    shift = np.where(nonzero, tr * coef, eps.astype(dtype))
-    value = s.value + shift[:, None, None] * eye
-
-    def back(g):
-        buf = np.zeros_like(s.value)
-        buf[:, idx, idx] = (((g * eye).sum(axis=(1, 2)) * nonzero) * coef)[:, None]
-        s._accumulate(g + buf)
-
-    return _node(s.tape, value, (s,), back)
+    full = d @ d.swapaxes(-1, -2)
+    return np.tril(full) + np.tril(full, -1).swapaxes(-1, -2)
 
 
 def cholesky_failures(m: np.ndarray) -> np.ndarray:
@@ -316,17 +297,32 @@ def cholesky_failures(m: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cholesky_factor(m: np.ndarray) -> np.ndarray:
+    """Lower factors L_i of M_i = L_i L_i^T for a stack (n, k, k), in double precision.
+
+    A system that is not positive definite raises SingularSystemError
+    naming the first such anchor.
+    """
+    m64 = np.asarray(m, dtype=np.float64)
+    try:
+        return np.linalg.cholesky(m64)
+    except np.linalg.LinAlgError:
+        bad = int(np.flatnonzero(cholesky_failures(m64))[0])
+        raise SingularSystemError(f"symmetric factorization failed for anchor {bad}") from None
+
+
+def cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L L^T x = b for stacks (n, k, k) and (n, k) by substitution.
 
     Forward then back substitution, one column per step, each step
-    vectorized over the whole stack.
+    vectorized over the whole stack. Both results are column-major, so
+    each step writes one contiguous column.
     """
     k = b.shape[1]
-    y = np.empty_like(b)
+    y = np.empty(b.shape, order="F")
     for j in range(k):
         y[:, j] = (b[:, j] - np.einsum("ni,ni->n", lower[:, j, :j], y[:, :j])) / lower[:, j, j]
-    x = np.empty_like(b)
+    x = np.empty(b.shape, order="F")
     for j in range(k - 1, -1, -1):
         x[:, j] = (
             y[:, j] - np.einsum("ni,ni->n", lower[:, j + 1 :, j], x[:, j + 1 :])
@@ -334,29 +330,32 @@ def _cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def gram_batched(d: Tensor) -> Tensor:
+    """Tape op for mirrored_gram; the backward is (g + g^T) D."""
+    value = mirrored_gram(d.value)
+
+    def back(g):
+        d._accumulate((g + g.swapaxes(-1, -2)) @ d.value)
+
+    return node(d.tape, value, (d,), back)
+
+
 def solve_chol_batched(m: Tensor, rhs: np.ndarray) -> Tensor:
     """Solve M_i x_i = rhs for a stack of symmetric positive definite systems.
 
-    One stacked Cholesky factorization M_i = L_i L_i^T runs in double
-    precision regardless of the tape dtype, and the backward pass reuses
-    the factors: with g the output adjoint, gb = M^-1 g gives
-    grad_M = -gb x^T. The right-hand side is a fixed vector, not a graph
-    node. A system that is not positive definite raises SingularSystemError
-    naming the first such anchor.
+    One stacked Cholesky factorization runs in double precision regardless
+    of the tape dtype, and the backward pass reuses the factors: with g the
+    output adjoint, gb = M^-1 g gives grad_M = -gb x^T. The right-hand side
+    is a fixed vector, not a graph node. A system that is not positive
+    definite raises SingularSystemError naming the first such anchor.
     """
-    m64 = np.asarray(m.value, dtype=np.float64)
-    try:
-        lower = np.linalg.cholesky(m64)
-    except np.linalg.LinAlgError:
-        bad = int(np.flatnonzero(cholesky_failures(m64))[0])
-        raise SingularSystemError(f"symmetric factorization failed for anchor {bad}") from None
-    rhs64 = np.broadcast_to(np.asarray(rhs, dtype=np.float64), m64.shape[:2])
-    x64 = _cho_solve(lower, rhs64)
+    lower = cholesky_factor(m.value)
+    x64 = cho_solve(lower, np.broadcast_to(np.asarray(rhs, dtype=np.float64), lower.shape[:2]))
     value = x64.astype(m.value.dtype, copy=False)
 
     def back(g):
-        gb = _cho_solve(lower, np.asarray(g, dtype=np.float64))
+        gb = cho_solve(lower, np.asarray(g, dtype=np.float64))
         gm = -gb[:, :, None] * x64[:, None, :]
         m._accumulate(gm.astype(m.value.dtype, copy=False))
 
-    return _node(m.tape, value, (m,), back)
+    return node(m.tape, value, (m,), back)

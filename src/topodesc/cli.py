@@ -25,6 +25,7 @@ from .config import (
     RunConfig,
     format_config,
     parse_config_file,
+    parse_net_widths,
     resolve_config,
     resolve_seed,
 )
@@ -132,12 +133,7 @@ def cmd_train(args) -> int:
     # Every RunConfig field has a flag whose dest is the field's name.
     flag_values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     if args.net_widths is not None:
-        try:
-            flag_values["net_widths"] = tuple(int(w) for w in args.net_widths.split(","))
-        except ValueError:
-            raise InvalidArgumentError(
-                f"--net-widths must be comma-separated integers, got {args.net_widths!r}"
-            ) from None
+        flag_values["net_widths"] = parse_net_widths(args.net_widths)
     cfg = resolve_config(args.preset, file_values, flag_values)
     if not cfg.dataset:
         print("error: a dataset path is required (--dataset or config file)", file=sys.stderr)

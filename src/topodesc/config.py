@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -103,11 +104,24 @@ PRESETS = {"desk": DESK_PRESET, "paper": PAPER_PRESET}
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def parse_net_widths(raw: str) -> tuple[int, ...]:
+    """Layer widths from "16,64,32", as config files and --net-widths give them."""
+    try:
+        return tuple(int(part) for part in raw.split(","))
+    except ValueError:
+        raise InvalidArgumentError(
+            f"net_widths must be comma-separated integers, got {raw!r}"
+        ) from None
+
+
 def _parse_value(key: str, raw: str):
     kind = type(_DEFAULTS[key])
+    if kind is tuple:
+        return parse_net_widths(raw)
     try:
-        if kind is tuple:
-            return tuple(int(part) for part in raw.split(",") if part.strip())
         return kind(raw)
     except ValueError:
         raise InvalidInputError(f"cannot parse value {raw!r} for key {key!r}") from None
@@ -127,11 +141,15 @@ def resolve_seed(seed: int | None) -> int:
 
 
 def parse_config_file(path: str) -> dict:
-    """Read flat `key = value` lines; `#` starts a comment; unknown keys fail."""
+    """Read flat `key = value` lines; unknown keys fail.
+
+    A `#` at the start of a line or after whitespace starts a comment; any
+    other `#` belongs to the value.
+    """
     values: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
+            text = _COMMENT.split(line, maxsplit=1)[0].strip()
             if not text:
                 continue
             if "=" not in text:

@@ -31,7 +31,9 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Entry (i, j) is sqrt(2 - 2 x_i.y_j); dot products are clamped to [-1, 1]
     first, so 2 - 2 x_i.y_j is exactly >= 0 and rounding cannot produce NaN.
-    Passing the same array twice validates it once.
+    Passing the same array twice validates it once and computes the same
+    general product as two distinct arrays would; that product is bitwise
+    symmetric only where the row count fills whole BLAS tiles.
     """
     same = y is x
     x = np.asarray(x, dtype=np.float64)
@@ -48,7 +50,9 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             raise InvalidInputError("second descriptor set contains non-finite entries")
         _check_unit_rows(y, "second set")
     # In place on the one (n, m) product; 2 + (-2 d) rounds exactly like 2 - 2 d.
-    d = x @ y.T
+    # x @ x.T would take numpy's symmetric-product route, slower than the
+    # general one that two distinct arrays take; a copy of x takes that one.
+    d = x @ (x.copy() if same else y).T
     np.clip(d, -1.0, 1.0, out=d)
     d *= -2.0
     d += 2.0

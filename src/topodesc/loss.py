@@ -99,7 +99,9 @@ def hardest_negatives(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     masked = cross.copy()
     np.fill_diagonal(masked, np.inf)
     row_j = np.argmin(masked, axis=1)
-    col_m = np.argmin(masked, axis=0)
+    # argmin down the columns of a C-order matrix is slow; the first row
+    # holding the column min is the same index
+    col_m = np.argmax(masked == masked.min(axis=0), axis=0)
     rows = np.arange(n)
     use_row = masked[rows, row_j] <= masked[col_m, rows]
     return np.where(use_row, rows, col_m), np.where(use_row, row_j, rows)
@@ -223,8 +225,8 @@ def build_loss_graph(
             weights_a = ad.constant(tape, structure.frozen_wa)
             weights_p = ad.constant(tape, structure.frozen_wp)
         else:
-            weights_a = topology.affine_weights(desc_a, ad.take(desc_a, structure.idx_a))
-            weights_p = topology.affine_weights(desc_p, ad.take(desc_p, structure.idx_p))
+            weights_a = topology.affine_weights(desc_a, structure.idx_a)
+            weights_p = topology.affine_weights(desc_p, structure.idx_p)
         ta = ad.matmul(ad.constant(tape, structure.gather_a), ad.reshape(weights_a, (n, cfg.k, 1)))
         tp = ad.matmul(ad.constant(tape, structure.gather_p), ad.reshape(weights_p, (n, cfg.k, 1)))
         l1 = ad.sum_(ad.abs_(ad.sub(ta, tp)), axis=(1, 2))

@@ -5,9 +5,11 @@ k nearest neighbors; the fitted weights, scattered to the neighbors' batch
 positions, form a sparse length-n topology vector. A quarter of the l1
 distance between two such vectors is the topology distance.
 
-``affine_weights`` is the only implementation of the fit. Training runs it on
-the autodiff tape; ``fit_weights``, ``batch_topology_vectors`` and
-``affine_weight_values`` call it on constants.
+``affine_weights`` is the only implementation of the fit: one autodiff node
+from the descriptors and their kNN indices to the weights, whose backward is
+the closed form of the LLE weights' derivative. Training records it on the
+tape; ``fit_weights`` (a batch of one), ``batch_topology_vectors`` and
+``affine_weight_values`` run it on constants.
 """
 
 from __future__ import annotations
@@ -54,17 +56,24 @@ class TopologyVector:
         return dense
 
 
-def affine_weights(
-    anchors: ad.Tensor, neighbors: ad.Tensor, eps: float = DEFAULT_EPS
-) -> ad.Tensor:
-    """Best affine combination of each anchor's k neighbors, for n anchors at once.
+def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> ad.Tensor:
+    """Best affine combination of each anchor's k neighbors, as one tape node.
 
-    anchors is (n, dim) and neighbors (n, k, dim). Per anchor this minimizes
-    ||anchor - sum_j w_j neighbor_j||^2 subject to sum_j w_j = 1 through the
-    closed form w = M^-1 1 / (1' M^-1 1), where S is the bitwise symmetric
-    Gram matrix of the (anchor - neighbor_j) differences and
+    x is (m, dim) and idx (n, k) with n <= m: anchor i is x[i] and its
+    neighbors are the rows x[idx[i]]. Per anchor this minimizes
+    ||x_i - sum_j w_j x_idx[i, j]||^2 subject to sum_j w_j = 1 through the
+    closed form w = y / (1' y) with y = M^-1 1, where S is the bitwise
+    symmetric Gram matrix of the differences D_j = x_i - x_idx[i, j] and
     M = S + eps * trace(S) / k * I, or S + eps * I where trace(S) == 0. The
-    trace-relative term keeps the conditioning scale-free.
+    trace-relative term keeps the conditioning scale-free. S and M are
+    formed in x's dtype and factored in double precision.
+
+    The backward pass is the closed form of the LLE weights' derivative
+    (Roweis & Saul, Science 2000) and reuses M's Cholesky factors. For the
+    adjoint g of w: gy = (g - (g.w) 1) / 1'y, gb = M^-1 gy,
+    grad_M = -gb y', grad_S = grad_M + (eps / k) trace(grad_M) I where
+    trace(S) != 0, and grad_D = (grad_S + grad_S') D. Anchor i receives
+    sum_j grad_D_j and neighbor idx[i, j] receives -grad_D_j.
 
     With eps == 0 each system is first tried plain; a system whose Cholesky
     factorization fails is solved with DEFAULT_EPS instead, and only that
@@ -73,28 +82,46 @@ def affine_weights(
     """
     if eps < 0.0:
         raise InvalidInputError(f"eps must be >= 0, got {eps}")
-    n, k, dim = neighbors.value.shape
-    dtype = neighbors.value.dtype
-    diffs = ad.sub(ad.reshape(anchors, (n, 1, dim)), neighbors)
-    s = ad.gram_batched(diffs)
+    idx = np.asarray(idx)
+    n, k = idx.shape
+    dtype = x.value.dtype
+    d = x.value[:n, None, :] - x.value[idx]
+    m = ad.mirrored_gram(d)
     eps_per_system = np.full(n, eps)
     if eps == 0.0:
-        eps_per_system[ad.cholesky_failures(np.asarray(s.value, dtype=np.float64))] = DEFAULT_EPS
-    m = ad.regularize_batched(s, eps_per_system)
-    y = ad.solve_chol_batched(m, np.ones(k, dtype=dtype))
-    ysum = ad.sum_(y, axis=1, keepdims=True)
-    denom = ysum.value.ravel()
+        eps_per_system[ad.cholesky_failures(np.asarray(m, dtype=np.float64))] = DEFAULT_EPS
+    diag = np.arange(k)
+    trace = m[:, diag, diag].sum(axis=-1)
+    nonzero = trace != 0
+    coef = (eps_per_system / k).astype(dtype)
+    m[:, diag, diag] += np.where(nonzero, trace * coef, eps_per_system.astype(dtype))[:, None]
+    lower = ad.cholesky_factor(m)
+    y64 = ad.cho_solve(lower, np.ones((n, k)))
+    y = y64.astype(dtype, copy=False)
+    ysum = y.sum(axis=1, keepdims=True)
+    denom = ysum.ravel()
     bad = ~np.isfinite(denom) | (np.abs(denom) < NORMALIZER_FLOOR)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise DegenerateFitError(f"weight normalizer 1'S^-1'1 = {denom[i]} for anchor {i}")
-    return ad.div(y, ysum)
+    w = y / ysum
+
+    def back(g):
+        g = np.asarray(g, dtype=np.float64)
+        gb = ad.cho_solve(lower, (g - (g * w).sum(axis=1, keepdims=True)) / ysum)
+        grad_s = -gb[:, :, None] * y64[:, None, :]
+        grad_s[:, diag, diag] += (grad_s[:, diag, diag].sum(axis=1) * coef * nonzero)[:, None]
+        grad_d = (grad_s + grad_s.swapaxes(-1, -2)) @ d
+        grad_x = -ad.scatter_rows(idx, grad_d, x.value.shape)
+        grad_x[:n] += grad_d.sum(axis=1)
+        x._accumulate(grad_x)
+
+    return ad.node(x.tape, w, (x,), back)
 
 
 def affine_weight_values(x: np.ndarray, idx: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Value-only affine weights (n, k) of every row of x over its rows idx."""
-    tape = ad.Tape()
-    return affine_weights(ad.constant(tape, x), ad.constant(tape, x[idx]), eps).value
+    return affine_weights(ad.constant(ad.Tape(), x), idx, eps).value
 
 
 def fit_weights(
@@ -105,8 +132,9 @@ def fit_weights(
 ) -> LleWeights:
     """Affine fit of one anchor over its k neighbors, in double precision.
 
-    A batch of one for affine_weights, which documents the fit; anchor_index
-    only labels the result.
+    A batch of one for affine_weights, which documents the fit: the anchor
+    is row 0 and its neighbors rows 1..k. anchor_index only labels the
+    result.
     """
     anchor = np.asarray(anchor, dtype=np.float64)
     neighbors = np.asarray(neighbors, dtype=np.float64)
@@ -114,14 +142,14 @@ def fit_weights(
         raise InvalidInputError(
             f"anchor of dim {anchor.shape} does not match neighbors {neighbors.shape}"
         )
-    if neighbors.shape[0] < 1:
+    k = neighbors.shape[0]
+    if k < 1:
         raise InvalidInputError("at least one neighbor is required")
     if not np.isfinite(anchor).all() or not np.isfinite(neighbors).all():
         raise InvalidInputError("fit input contains non-finite entries")
 
-    tape = ad.Tape()
-    fit = affine_weights(ad.constant(tape, anchor[None]), ad.constant(tape, neighbors[None]), eps)
-    w = fit.value[0]
+    x = np.concatenate([anchor[None], neighbors])
+    w = affine_weight_values(x, np.arange(1, k + 1)[None], eps)[0]
     residual = float(np.linalg.norm(anchor - w @ neighbors))
     return LleWeights(anchor_index=anchor_index, weights=w, residual=residual)
 

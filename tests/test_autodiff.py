@@ -213,32 +213,6 @@ class TestBatchedFitOps:
 
         check(fn, d)
 
-    def test_regularize_batched(self):
-        rng = np.random.default_rng(13)
-        s = rng.standard_normal((3, 4, 4))
-        s[2] = np.diag([1.0, -1.0, 2.0, -2.0])  # trace 0: the shift is eps itself
-        eps = np.array([1e-3, 0.5, 0.25])
-        weights = rng.standard_normal((3, 4, 4))
-        eye = np.eye(4)
-
-        tape = ad.Tape()
-        m = ad.regularize_batched(ad.constant(tape, s), eps)
-        np.testing.assert_allclose(m.value[0], s[0] + 1e-3 * np.trace(s[0]) / 4 * eye, rtol=1e-15)
-        np.testing.assert_allclose(m.value[1], s[1] + 0.5 * np.trace(s[1]) / 4 * eye, rtol=1e-15)
-        np.testing.assert_array_equal(m.value[2], s[2] + 0.25 * eye)
-
-        def fn(tape, x):
-            m = ad.regularize_batched(x, eps)
-            return ad.sum_(ad.mul(ad.mul(m, m), ad.constant(tape, weights)))
-
-        analytic = tape_gradients(fn, [s])[0]
-        # a nonzero trace carries the gradient into the shift
-        numeric = fd_gradients(fn, [s])[0]
-        np.testing.assert_allclose(analytic[:2], numeric[:2], rtol=1e-6, atol=1e-8)
-        # any diagonal bump leaves the zero-trace branch, so no difference
-        # quotient exists there; the shift is a constant and S passes through
-        np.testing.assert_allclose(analytic[2], 2.0 * weights[2] * (s[2] + 0.25 * eye), rtol=1e-15)
-
     def test_solve_chol_batched_value(self):
         rng = np.random.default_rng(14)
         d = rng.standard_normal((6, 3, 5))

@@ -585,6 +585,12 @@ class TestGradcheckCommand:
         (["gradcheck", "--tol", "nan"], None),
         (["generate", "--noise", "1e39", "--out", "{out}"], None),
         (["train", "--config", "{bad_mode}", "--dataset", "{noisy}", "--out-dir", "{out}"], None),
+        (["train", "--config", "{empty_width}", "--dataset", "{noisy}", "--out-dir", "{out}"], None),
+        (
+            ["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--net-widths", "6,,16,8"]
+            + ["--batch-size", "8", "--k", "3", "--iterations", "1"],
+            None,
+        ),
         (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--net-widths", "5,8"], None),
         (
             ["train", "--dataset", "{noisy}", "--out-dir", "{out}"]
@@ -620,6 +626,8 @@ class TestGradcheckCommand:
         "gradcheck-tol-nan",
         "generate-noise-overflows-float32",
         "train-config-lambda-mode",
+        "train-config-net-widths-empty",
+        "train-net-widths-empty",
         "train-net-width-vs-dataset-dim",
         "train-batch-size-vs-train-split",
         "train-k-vs-batch-size",
@@ -637,6 +645,8 @@ def test_bad_argument_exits_2_with_one_error_line(
         ("inf_margin", "margin = inf\n"),
         ("nan_lr", "lr_start = nan\n"),
         ("bad_mode", "lambda_mode = fixed:2\n"),
+        # a run that would train if the empty width were skipped
+        ("empty_width", "net_widths = 6,,16,8\nbatch_size = 8\nk = 3\niterations = 1\n"),
     ):
         paths[name] = tmp_path / f"{name}.cfg"
         paths[name].write_text(text)

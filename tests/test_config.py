@@ -108,6 +108,25 @@ class TestConfigFile:
         assert C.resolve_config(file_values=values) == cfg
 
 
+    def test_hash_inside_a_value_round_trips(self, tmp_path):
+        cfg = C.RunConfig(dataset="data#1.tcpd", out_dir="run#1")
+        path = tmp_path / "echo.cfg"
+        path.write_text(C.format_config(cfg) + "# a comment line\nk = 8  # neighbors\n")
+        values = C.parse_config_file(str(path))
+        assert (values["dataset"], values["out_dir"], values["k"]) == ("data#1.tcpd", "run#1", 8)
+        assert C.resolve_config(file_values=values) == cfg
+
+    def test_net_widths_file_and_flag_share_one_parser(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("net_widths = 6,,16,8\n")
+        with pytest.raises(InvalidArgumentError) as from_file:
+            C.parse_config_file(str(path))
+        with pytest.raises(InvalidArgumentError) as from_flag:
+            C.parse_net_widths("6,,16,8")
+        assert str(from_file.value) == str(from_flag.value)
+        assert "comma-separated integers" in str(from_flag.value)
+
+
 class TestResolve:
     def test_flags_beat_file_beats_preset(self):
         cfg = C.resolve_config(

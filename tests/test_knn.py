@@ -44,6 +44,19 @@ class TestPairwiseDistances:
         off = d[~np.eye(4, dtype=bool)]
         np.testing.assert_allclose(off, np.sqrt(2.0), rtol=1e-15)
 
+    def test_self_distances_take_the_general_product(self):
+        rng = np.random.default_rng(7)
+        for n, d in ((5, 3), (64, 16), (65, 16), (300, 32), (1024, 32)):
+            x = unit_rows(rng, n, d)
+            x[1] = x[0]
+            got = knn.pairwise_distances(x, x)
+            assert np.array_equal(got, knn.pairwise_distances(x, x.copy()))
+            # the general product is bitwise symmetric only where n fills whole
+            # BLAS tiles; elsewhere (i, j) and (j, i) differ in the last bits
+            # of the dot product, which 2 - 2 x.y carries unamplified
+            sq = got * got
+            np.testing.assert_allclose(sq, sq.T, rtol=0, atol=1e-14)
+
     def test_identical_rows_never_nan(self):
         """Dots that round above 1 must clamp to distance 0, not NaN."""
         rng = np.random.default_rng(6)

@@ -1,9 +1,11 @@
 """Tests for the linear algebra of the affine-fit kernel.
 
 The Gram matrix, the regularized system and its Cholesky solve all live in
-the one batched fit, ``topology.affine_weights``, and the autodiff ops it
-runs; these tests reach them there. The system handed to the solver is
-observed by wrapping ``autodiff.solve_chol_batched``.
+the one batched fit, ``topology.affine_weights``, and the autodiff array
+helpers it calls; these tests reach them there and through the standalone
+``gram_batched`` and ``solve_chol_batched`` tape ops, which share those
+helpers. The system handed to the factorization is observed by wrapping
+``autodiff.cholesky_factor``.
 """
 
 import math
@@ -39,26 +41,29 @@ def solve(m, rhs):
 
 
 def fitted_system(monkeypatch, diffs, eps):
-    """The system M the fit solves, and its solution y, for one anchor.
+    """The system M the fit factors, and its solution y = M^-1 1, for one anchor.
 
     The anchor is the origin and the neighbors are -diffs, so the fit's
-    differences are exactly diffs.
+    differences are exactly diffs. M is observed by wrapping
+    ``autodiff.cholesky_factor`` and y by wrapping ``autodiff.cho_solve``.
     """
-    seen = []
-    real = ad.solve_chol_batched
+    systems, solutions = [], []
+    real_factor, real_solve = ad.cholesky_factor, ad.cho_solve
 
-    def spy(m, rhs):
-        out = real(m, rhs)
-        seen.append((m.value.copy(), out.value.copy()))
+    def factor_spy(m):
+        systems.append(np.array(m))
+        return real_factor(m)
+
+    def solve_spy(lower, b):
+        out = real_solve(lower, b)
+        solutions.append(out.copy())
         return out
 
-    monkeypatch.setattr(ad, "solve_chol_batched", spy)
-    tape = ad.Tape()
-    anchors = np.zeros((1, diffs.shape[1]))
-    topology.affine_weights(ad.constant(tape, anchors), ad.constant(tape, -diffs[None]), eps)
-    assert len(seen) == 1
-    m, y = seen[0]
-    return m[0], y[0]
+    monkeypatch.setattr(ad, "cholesky_factor", factor_spy)
+    monkeypatch.setattr(ad, "cho_solve", solve_spy)
+    topology.fit_weights(np.zeros(diffs.shape[1]), -diffs, eps)
+    assert len(systems) == 1 and len(solutions) == 1
+    return systems[0][0], solutions[0][0]
 
 
 class TestGram:

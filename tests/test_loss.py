@@ -128,6 +128,21 @@ class TestHardestNegative:
         with pytest.raises(InvalidBatchError):
             L.hardest_negatives(np.zeros((1, 1)))
 
+    def test_column_tie_runs_match_argmin(self):
+        # few distinct values: most columns hold their min several times
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 17, 256):
+            cross = rng.integers(0, 4, size=(n, n)).astype(float)
+            masked = cross.copy()
+            np.fill_diagonal(masked, np.inf)
+            row_j = np.argmin(masked, axis=1)
+            col_m = np.argmin(masked, axis=0)
+            rows = np.arange(n)
+            use_row = masked[rows, row_j] <= masked[col_m, rows]
+            neg_u, neg_v = L.hardest_negatives(cross)
+            np.testing.assert_array_equal(neg_u, np.where(use_row, rows, col_m))
+            np.testing.assert_array_equal(neg_v, np.where(use_row, row_j, rows))
+
 
 class TestSelectStructure:
     def test_negatives_match_scalar_miner(self):
@@ -345,8 +360,9 @@ class TestModeEquivalences:
         def refuse(*args):
             raise AssertionError("a detached loss graph must not fit weights")
 
-        monkeypatch.setattr(ad, "gram_batched", refuse)
-        monkeypatch.setattr(ad, "solve_chol_batched", refuse)
+        monkeypatch.setattr(topology, "affine_weights", refuse)
+        monkeypatch.setattr(ad, "mirrored_gram", refuse)
+        monkeypatch.setattr(ad, "cholesky_factor", refuse)
         tape = ad.Tape()
         graph = L.build_loss_graph(ad.leaf(tape, va), ad.leaf(tape, vp), 0.25, cfg, st, tape)
         assert graph.weights_a.value is st.frozen_wa and graph.weights_p.value is st.frozen_wp

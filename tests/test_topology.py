@@ -16,6 +16,72 @@ def unit_rows(rng, n, d):
     return x / np.sqrt(np.sum(x * x, axis=1, keepdims=True))
 
 
+def stacked_fit(anchors, neighbors, eps):
+    """affine_weights on constants for anchors (n, dim) with neighbors (n, k, dim)."""
+    n, k, dim = neighbors.shape
+    x = np.concatenate([anchors, neighbors.reshape(n * k, dim)])
+    idx = n + np.arange(n * k).reshape(n, k)
+    return topology.affine_weights(ad.constant(ad.Tape(), x), idx, eps).value
+
+
+def regularize_op(s, eps):
+    """M_i = S_i + eps_i * trace(S_i) / k * I, or S_i + eps_i * I where trace(S_i) == 0, as a tape op.
+
+    The gradient reaches S through the trace term as well, except where the
+    trace is zero and the shift is the constant eps_i.
+    """
+    k = s.value.shape[-1]
+    dtype = s.value.dtype
+    diag = np.arange(k)
+    eye = np.eye(k, dtype=dtype)
+    tr = s.value[:, diag, diag].sum(axis=-1)
+    nonzero = tr != 0
+    coef = (eps / k).astype(dtype)
+    shift = np.where(nonzero, tr * coef, eps.astype(dtype))
+    value = s.value + shift[:, None, None] * eye
+
+    def back(g):
+        buf = np.zeros_like(s.value)
+        buf[:, diag, diag] = (((g * eye).sum(axis=(1, 2)) * nonzero) * coef)[:, None]
+        s._accumulate(g + buf)
+
+    return ad.node(s.tape, value, (s,), back)
+
+
+def tape_affine_weights(x, idx, eps=topology.DEFAULT_EPS):
+    """The fit as an eight-node tape composition: the oracle for the fused node.
+
+    take, reshape, sub, gram_batched, regularize_op, solve_chol_batched,
+    sum_ and div, each with its own backward; x is (n, dim) and idx (n, k).
+    """
+    n, k = idx.shape
+    dim = x.value.shape[1]
+    diffs = ad.sub(ad.reshape(x, (n, 1, dim)), ad.take(x, idx))
+    s = ad.gram_batched(diffs)
+    eps_per_system = np.full(n, eps)
+    if eps == 0.0:
+        failed = ad.cholesky_failures(np.asarray(s.value, dtype=np.float64))
+        eps_per_system[failed] = topology.DEFAULT_EPS
+    m = regularize_op(s, eps_per_system)
+    y = ad.solve_chol_batched(m, np.ones(k, dtype=x.value.dtype))
+    return ad.div(y, ad.sum_(y, axis=1, keepdims=True))
+
+
+def fit_and_gradient(fit, x, idx, eps, adjoint):
+    """Weights of fit(leaf x, idx, eps) and the gradient of <adjoint, w> in x."""
+    tape = ad.Tape()
+    leaf = ad.leaf(tape, x.copy())
+    w = fit(leaf, idx, eps)
+    ad.backward(tape, w, adjoint)
+    return w.value, leaf.grad
+
+
+def assert_close_normwise(got, want, rtol):
+    """|got - want| <= rtol * max|want| everywhere, and the dtype kept."""
+    assert got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
 class TestFitWeights:
     def test_single_neighbor_forced_by_constraint(self):
         fit = topology.fit_weights(np.array([3.0, 4.0]), np.array([[1.0, 0.0]]))
@@ -85,10 +151,7 @@ class TestFitWeights:
         )
 
         def fit(eps):
-            tape = ad.Tape()
-            return topology.affine_weights(
-                ad.constant(tape, anchors), ad.constant(tape, neighbors), eps
-            ).value
+            return stacked_fit(anchors, neighbors, eps)
 
         w = fit(0.0)
         # well conditioned: the plain system, no regularizer
@@ -103,6 +166,54 @@ class TestFitWeights:
         # eps > 0 adds eps * trace / k to every system: diag(1, 9) -> diag(3.5, 11.5)
         y = np.array([1 / 3.5, 1 / 11.5])
         np.testing.assert_allclose(fit(0.5)[0], y / y.sum(), rtol=1e-14)
+
+
+class TestAffineWeightsNode:
+    """The fused fit node against the tape composition and finite differences."""
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("eps", [topology.DEFAULT_EPS, 0.5])
+    def test_matches_tape_oracle(self, dtype, rtol, eps):
+        rng = np.random.default_rng(41)
+        x = unit_rows(rng, 96, 8).astype(dtype)
+        idx = neighbor_index_matrix(x, 12)  # k > dim: every S is singular
+        adjoint = rng.standard_normal(idx.shape).astype(dtype)
+        w, grad = fit_and_gradient(topology.affine_weights, x, idx, eps, adjoint)
+        want_w, want_grad = fit_and_gradient(tape_affine_weights, x, idx, eps, adjoint)
+        assert_close_normwise(w, want_w, rtol)
+        assert_close_normwise(grad, want_grad, rtol)
+
+    def test_eps_zero_retry_matches_tape_oracle(self):
+        rng = np.random.default_rng(42)
+        x = unit_rows(rng, 40, 6)
+        x[7] = x[5]  # anchors 5 and 7 get a zero difference row: their S is singular
+        idx = neighbor_index_matrix(x, 4)
+        retried = ad.cholesky_failures(ad.mirrored_gram(x[:, None, :] - x[idx]))
+        assert retried[[5, 7]].all() and not retried.all()
+        adjoint = rng.standard_normal(idx.shape)
+        w, grad = fit_and_gradient(topology.affine_weights, x, idx, 0.0, adjoint)
+        want_w, want_grad = fit_and_gradient(tape_affine_weights, x, idx, 0.0, adjoint)
+        assert_close_normwise(w, want_w, 1e-12)
+        assert_close_normwise(grad, want_grad, 1e-12)
+
+    @pytest.mark.parametrize("eps", [topology.DEFAULT_EPS, 0.5])
+    def test_gradient_matches_finite_differences(self, eps):
+        # at eps = 0.5 the trace term carries a large share of the gradient
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((9, 4))
+        idx = np.stack([np.delete(np.arange(9), i)[rng.permutation(8)[:3]] for i in range(9)])
+        adjoint = rng.standard_normal(idx.shape)
+        _, grad = fit_and_gradient(topology.affine_weights, x, idx, eps, adjoint)
+        step = 1e-6
+        numeric = np.zeros_like(x)
+        for pos in np.ndindex(x.shape):
+            bumped = x.copy()
+            bumped[pos] += step
+            plus = float(np.sum(adjoint * topology.affine_weight_values(bumped, idx, eps)))
+            bumped[pos] -= 2 * step
+            minus = float(np.sum(adjoint * topology.affine_weight_values(bumped, idx, eps)))
+            numeric[pos] = (plus - minus) / (2 * step)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
 
 
 class TestTopologyVector:

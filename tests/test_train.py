@@ -89,6 +89,22 @@ class TestRunTraining:
             np.testing.assert_array_equal(wa, wb)
         assert [r.loss for r in a.rows] == [r.loss for r in b.rows]
 
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_fixed_half_lambda_through_weights_is_bit_identical(self, precision):
+        # lambda 0.5 from the first step: every update carries the gradient
+        # through the fused affine fit
+        ds = tiny_dataset()
+        cfg = tiny_config(
+            precision=precision, lambda_mode="fixed:0.5", topology_gradient_mode="through-weights"
+        )
+        a = train.run_training(cfg, dataset=ds)
+        b = train.run_training(cfg, dataset=ds)
+        for wa, wb in zip(a.net.weights + a.net.biases, b.net.weights + b.net.biases):
+            np.testing.assert_array_equal(wa, wb)
+        assert a.rows == b.rows
+        detached = train.run_training(replace(cfg, topology_gradient_mode="detached"), dataset=ds)
+        assert not np.array_equal(a.net.weights[0], detached.net.weights[0])
+
     def test_seed_changes_the_run(self):
         ds = tiny_dataset()
         a = train.run_training(tiny_config(seed=1), dataset=ds)
