@@ -28,11 +28,9 @@ from .metrics import MetricReport, fpr95, retrieval_map, verification_pairs
 from .net import EmbeddingNet, embed, init_net, load_checkpoint, save_checkpoint, sgd_step
 from .topology import (
     LleWeights,
-    TopologyVector,
     batch_topology_vectors,
     fit_weights,
     topology_distance,
-    topology_vector,
 )
 from .train import TrainingDivergenceError, TrainResult, run_training
 
@@ -72,11 +70,9 @@ __all__ = [
     "save_checkpoint",
     "sgd_step",
     "LleWeights",
-    "TopologyVector",
     "batch_topology_vectors",
     "fit_weights",
     "topology_distance",
-    "topology_vector",
     "TrainingDivergenceError",
     "TrainResult",
     "run_training",

@@ -15,11 +15,11 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as datamod
-from . import knn, metrics
+from . import metrics
 from . import loss as lossmod
 from . import net as netmod
-from . import topology
 from .config import (
     PRESETS,
     RunConfig,
@@ -207,24 +207,33 @@ def cmd_inspect(args) -> int:
     _, batch_a, batch_p = datamod.sample_batch(ds, batch_size, rng)
     desc_a = netmod.embed(net, batch_a)
     desc_p = netmod.embed(net, batch_p)
-    vectors_a = topology.batch_topology_vectors(desc_a, args.k)
-    vectors_p = topology.batch_topology_vectors(desc_p, args.k)
-    d_pos = np.diag(knn.pairwise_distances(desc_a, desc_p))
+    # The loss's own graph on constants gives the supports, weights, d_E and
+    # d_T; none of them depends on lambda, so it is 1 as at iteration 0.
+    cfg = lossmod.LossConfig(k=args.k)
+    structure = lossmod.select_structure(desc_a, desc_p, cfg)
+    tape = ad.Tape()
+    graph = lossmod.build_loss_graph(
+        ad.constant(tape, desc_a), ad.constant(tape, desc_p), 1.0, cfg, structure, tape
+    )
+    views = (
+        ("A", structure.idx_a, graph.weights_a.value),
+        ("P", structure.idx_p, graph.weights_p.value),
+    )
     rows = []
     for i in range(batch_size):
-        ta, tp = vectors_a[i], vectors_p[i]
-        d_t = topology.topology_distance(ta, tp)
-        print(f"A {i}: " + " ".join(f"({j}:{float(w)!r})" for j, w in zip(ta.support, ta.values)))
-        print(f"P {i}: " + " ".join(f"({j}:{float(w)!r})" for j, w in zip(tp.support, tp.values)))
+        d_e = float(graph.d_pos.value[i])
+        d_t = float(graph.d_topo.value[i])
+        for tag, idx, w in views:
+            print(f"{tag} {i}: " + " ".join(f"({j}:{float(v)!r})" for j, v in zip(idx[i], w[i])))
         flag = "  [d_T > 1]" if d_t > 1.0 else ""
-        print(f"pair {i}: d_E={float(d_pos[i])!r} d_T={d_t!r}{flag}")
-        rows.append((i, d_pos[i], d_t, int(d_t > 1.0)))
+        print(f"pair {i}: d_E={d_e!r} d_T={d_t!r}{flag}")
+        rows.append((i, d_e, d_t, int(d_t > 1.0)))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "d_pos_euclid", "d_pos_topo", "d_topo_above_1"])
             for i, de, dt, flag in rows:
-                writer.writerow([i, repr(float(de)), repr(float(dt)), flag])
+                writer.writerow([i, repr(de), repr(dt), flag])
     return EXIT_OK
 
 

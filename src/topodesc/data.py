@@ -19,6 +19,10 @@ DATASET_MAGIC = b"TCPD"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<4sIIIQdd")
 
+# Largest dim whose record (a uint32 id, then 2 * dim float32) numpy can
+# describe: a record dtype is at most 2**31 - 1 bytes.
+MAX_DIM = (2**31 - 1 - 4) // 8
+
 # Fraction of scenes (the trailing block) reserved for evaluation.
 HOLDOUT_FRACTION = 0.2
 
@@ -130,8 +134,8 @@ def read_dataset(path: str) -> DatasetFile:
         raise DatasetFormatError(f"bad magic {magic!r} at offset 0")
     if version != DATASET_VERSION:
         raise DatasetFormatError(f"unsupported version {version} at offset 4")
-    if dim < 1:
-        raise DatasetFormatError(f"header dim {dim} at offset 12 must be >= 1")
+    if not 1 <= dim <= MAX_DIM:
+        raise DatasetFormatError(f"header dim {dim} at offset 12 must be in [1, {MAX_DIM}]")
     rec = _record_dtype(dim)
     expected = _HEADER.size + scene_count * rec.itemsize
     if len(blob) < expected:

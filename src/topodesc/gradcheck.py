@@ -73,11 +73,7 @@ def grad_check(
         for name, t in leaves.items()
     }
 
-    arrays: dict[str, np.ndarray] = {}
-    for i in range(len(net.weights)):
-        arrays[f"layer{i}.weight"] = net.weights[i]
-        arrays[f"layer{i}.bias"] = net.biases[i]
-
+    arrays = netmod.parameters(net)
     coords = [
         (name, idx)
         for name in sorted(arrays)

@@ -62,9 +62,11 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def neighbor_index_matrix(x: np.ndarray, k: int) -> np.ndarray:
     """(n, k) indices of the k nearest other rows of x, nearest first.
 
-    Self-matches are excluded; equal distances resolve to the lower index,
-    exactly as a full stable sort of each row would, so repeated runs and
-    reference sorts agree.
+    Self-matches are excluded; equal computed distances resolve to the lower
+    index, exactly as a full stable sort of each row would, so repeated runs
+    and reference sorts agree. Ties are ties of the computed distances:
+    duplicated descriptors need not get bitwise equal distances, because
+    BLAS may form x_i.x_j with different kernels across its tiles.
 
     One argpartition picks k candidates per row, which are put in
     (distance, index) order. A row with more than k entries at or below its

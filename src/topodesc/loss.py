@@ -113,7 +113,7 @@ class LossStructure:
 
     Holds the neighbor index matrices for both views, the mined negative
     pair per anchor, and the padded support-union gather matrices used to
-    compare sparse topology vectors without indexing inside the graph.
+    compare the two views' weights without indexing inside the graph.
     frozen_wa / frozen_wp, when set, are the fitted affine weights of the two
     views as constants: the graph uses them in place of the affine solve, so
     no gradient flows through the fit. select_structure sets them in
@@ -186,8 +186,17 @@ def _row_euclidean(a: ad.Tensor, b: ad.Tensor, tape: ad.Tape) -> ad.Tensor:
 
 @dataclass
 class LossGraph:
+    """The batch objective and the per-pair tensors it is built from.
+
+    d_pos is the Euclidean distance of each matched pair and d_topo its
+    topology distance; d_topo and the two views' affine weights are None
+    in "off" mode.
+    """
+
     loss: ad.Tensor
     report: LossReport
+    d_pos: ad.Tensor
+    d_topo: ad.Tensor | None = None
     weights_a: ad.Tensor | None = None
     weights_p: ad.Tensor | None = None
 
@@ -216,7 +225,7 @@ def build_loss_graph(
     neg_p = ad.take(desc_p, structure.neg_v)
     d_neg = _row_euclidean(neg_a, neg_p, tape)
 
-    weights_a = weights_p = None
+    weights_a = weights_p = d_topo = None
     if cfg.topology_gradient_mode == "off":
         gamma_pos = d_pos
         topo_mean = 0.0
@@ -250,7 +259,9 @@ def build_loss_graph(
         mean_d_neg=float(d_neg.value.mean()),
         active_triplets=int(np.count_nonzero(hinge.value > 0)),
     )
-    return LossGraph(loss=loss, report=report, weights_a=weights_a, weights_p=weights_p)
+    return LossGraph(
+        loss=loss, report=report, d_pos=d_pos, d_topo=d_topo, weights_a=weights_a, weights_p=weights_p
+    )
 
 
 def batch_loss(

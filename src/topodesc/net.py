@@ -56,22 +56,23 @@ def init_net(widths, rng: np.random.Generator, dtype=np.float64) -> EmbeddingNet
     return EmbeddingNet(widths=widths, weights=weights, biases=biases, activations=tags)
 
 
-def parameter_names(net: EmbeddingNet) -> list[str]:
-    names = []
-    for i in range(len(net.weights)):
-        names.append(f"layer{i}.weight")
-        names.append(f"layer{i}.bias")
-    return names
+def parameters(net: EmbeddingNet) -> dict[str, np.ndarray]:
+    """The net's own weight and bias arrays, in layer order.
+
+    Names are "layer{i}.weight" and "layer{i}.bias"; the arrays are the
+    net's, not copies, so writing to them updates the net.
+    """
+    params: dict[str, np.ndarray] = {}
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        params[f"layer{i}.weight"] = w
+        params[f"layer{i}.bias"] = b
+    return params
 
 
 def make_leaves(net: EmbeddingNet, tape: ad.Tape, trainable: bool = True) -> dict[str, ad.Tensor]:
     """One graph node per parameter array, shared across forward calls."""
     mk = ad.leaf if trainable else ad.constant
-    leaves: dict[str, ad.Tensor] = {}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        leaves[f"layer{i}.weight"] = mk(tape, w)
-        leaves[f"layer{i}.bias"] = mk(tape, b)
-    return leaves
+    return {name: mk(tape, p) for name, p in parameters(net).items()}
 
 
 def forward(
@@ -137,10 +138,7 @@ def sgd_step(
     v <- momentum * v + (g + weight_decay * p); p <- p - lr * v. Returns the
     velocity state; pass it back in on the next call.
     """
-    params = {}
-    for i in range(len(net.weights)):
-        params[f"layer{i}.weight"] = net.weights[i]
-        params[f"layer{i}.bias"] = net.biases[i]
+    params = parameters(net)
     if state is None:
         state = {name: np.zeros_like(p) for name, p in params.items()}
     for name, p in params.items():

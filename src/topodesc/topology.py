@@ -1,15 +1,18 @@
 """Locally linear topology vectors and the l1 topology distance.
 
 Each descriptor is fitted as the best affine (sum-to-one) combination of its
-k nearest neighbors; the fitted weights, scattered to the neighbors' batch
-positions, form a sparse length-n topology vector. A quarter of the l1
-distance between two such vectors is the topology distance.
+k nearest neighbors. Its topology vector is the dense length-n row that holds
+the fitted weights at the neighbors' batch positions and zeros elsewhere, and
+the topology distance d_T is a quarter of the l1 distance between two such
+rows.
 
 ``affine_weights`` is the only implementation of the fit: one autodiff node
 from the descriptors and their kNN indices to the weights, whose backward is
 the closed form of the LLE weights' derivative. Training records it on the
 tape; ``fit_weights`` (a batch of one), ``batch_topology_vectors`` and
-``affine_weight_values`` run it on constants.
+``affine_weight_values`` run it on constants. The d_T that training uses is
+the loss graph's (``loss.build_loss_graph``); ``batch_topology_vectors`` and
+``topology_distance`` spell out the definition on dense rows.
 """
 
 from __future__ import annotations
@@ -37,23 +40,8 @@ class LleWeights:
     legal and meaningful downstream.
     """
 
-    anchor_index: int
     weights: np.ndarray
     residual: float
-
-
-@dataclass(frozen=True)
-class TopologyVector:
-    """Sparse length-n vector holding fit weights at the neighbors' indices."""
-
-    length: int
-    support: np.ndarray
-    values: np.ndarray
-
-    def densify(self) -> np.ndarray:
-        dense = np.zeros(self.length)
-        dense[self.support] = self.values
-        return dense
 
 
 def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> ad.Tensor:
@@ -124,17 +112,11 @@ def affine_weight_values(x: np.ndarray, idx: np.ndarray, eps: float = DEFAULT_EP
     return affine_weights(ad.constant(ad.Tape(), x), idx, eps).value
 
 
-def fit_weights(
-    anchor: np.ndarray,
-    neighbors: np.ndarray,
-    eps: float = DEFAULT_EPS,
-    anchor_index: int = 0,
-) -> LleWeights:
+def fit_weights(anchor: np.ndarray, neighbors: np.ndarray, eps: float = DEFAULT_EPS) -> LleWeights:
     """Affine fit of one anchor over its k neighbors, in double precision.
 
     A batch of one for affine_weights, which documents the fit: the anchor
-    is row 0 and its neighbors rows 1..k. anchor_index only labels the
-    result.
+    is row 0 and its neighbors rows 1..k.
     """
     anchor = np.asarray(anchor, dtype=np.float64)
     neighbors = np.asarray(neighbors, dtype=np.float64)
@@ -151,52 +133,30 @@ def fit_weights(
     x = np.concatenate([anchor[None], neighbors])
     w = affine_weight_values(x, np.arange(1, k + 1)[None], eps)[0]
     residual = float(np.linalg.norm(anchor - w @ neighbors))
-    return LleWeights(anchor_index=anchor_index, weights=w, residual=residual)
+    return LleWeights(weights=w, residual=residual)
 
 
-def topology_vector(
-    weights: LleWeights, neighbor_indices: np.ndarray, n: int
-) -> TopologyVector:
-    """Scatter fit weights to their neighbors' batch positions."""
-    idx = np.asarray(neighbor_indices)
-    if idx.shape != weights.weights.shape:
-        raise InvalidInputError(
-            f"{idx.shape[0]} neighbor indices for {weights.weights.shape[0]} weights"
-        )
-    if len(np.unique(idx)) != idx.shape[0]:
-        raise InvalidInputError(f"duplicate neighbor index in {idx.tolist()}")
-    if idx.min() < 0 or idx.max() >= n:
-        raise InvalidInputError(f"neighbor index out of range for batch size {n}")
-    if np.any(idx == weights.anchor_index):
-        raise InvalidInputError(
-            f"anchor {weights.anchor_index} appears in its own neighbor list"
-        )
-    return TopologyVector(length=n, support=idx.copy(), values=weights.weights.copy())
+def topology_distance(ta: np.ndarray, tp: np.ndarray) -> float | np.ndarray:
+    """Quarter of the l1 distance between topology vectors, along the last axis.
 
-
-def topology_distance(ta: TopologyVector, tp: TopologyVector) -> float:
-    """Quarter of the l1 distance between two topology vectors.
-
-    Evaluated over the union of the two supports, O(k) per pair; all
-    off-support entries are zero by construction.
+    Two length-n rows give one value; two (m, n) matrices give one value per
+    row.
     """
-    if ta.length != tp.length:
-        raise InvalidInputError(
-            f"topology vector lengths differ: {ta.length} vs {tp.length}"
-        )
-    union = np.union1d(ta.support, tp.support)
-    a = np.zeros(union.shape[0])
-    p = np.zeros(union.shape[0])
-    a[np.searchsorted(union, ta.support)] = ta.values
-    p[np.searchsorted(union, tp.support)] = tp.values
-    return 0.25 * float(np.sum(np.abs(a - p)))
+    ta = np.asarray(ta)
+    tp = np.asarray(tp)
+    if ta.shape != tp.shape:
+        raise InvalidInputError(f"topology vector shapes differ: {ta.shape} vs {tp.shape}")
+    return 0.25 * np.abs(ta - tp).sum(axis=-1)
 
 
-def batch_topology_vectors(
-    x: np.ndarray, k: int, eps: float = DEFAULT_EPS
-) -> list[TopologyVector]:
-    """Topology vector of every descriptor within one set, from one batched fit."""
+def batch_topology_vectors(x: np.ndarray, k: int, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """(n, n) topology vectors of every descriptor within one set, from one batched fit.
+
+    Row i holds anchor i's fitted weights at its k nearest neighbors'
+    positions and zeros elsewhere.
+    """
     x = np.asarray(x, dtype=np.float64)
     idx = knn.neighbor_index_matrix(x, k)
-    w = affine_weight_values(x, idx, eps)
-    return [TopologyVector(length=x.shape[0], support=idx[i], values=w[i]) for i in range(len(x))]
+    t = np.zeros((x.shape[0], x.shape[0]))
+    np.put_along_axis(t, idx, affine_weight_values(x, idx, eps), axis=1)
+    return t

@@ -116,7 +116,8 @@ def test_criterion_2_knn_matches_full_sort_bruteforce():
         n = int(rng.integers(2, 129))
         d = int(rng.integers(3, 11))
         x = unit_rows(rng, n, d)
-        # duplicated rows force exact distance ties
+        # duplicated rows give ties only where BLAS computes their distances
+        # bitwise equal; the oracle sorts the same computed matrix
         for _ in range(int(rng.integers(0, 4))):
             a, b = rng.integers(0, n, size=2)
             x[b] = x[a]
@@ -288,13 +289,15 @@ def test_criterion_9_invariant_property_suite():
         k = int(rng.integers(1, 7))
         n = int(rng.integers(k + 1, 20))
         for tv in topology.batch_topology_vectors(unit_rows(rng, n, d), k):
-            assert abs(float(tv.values.sum()) - 1.0) <= 1e-9
+            assert abs(float(tv.sum()) - 1.0) <= 1e-9
 
     def random_tv(rng, n, k):
         support = rng.choice(n, size=k, replace=False)
         g = rng.standard_normal(k)
         g = g + (1.0 - g.sum()) / k
-        return topology.TopologyVector(length=n, support=np.sort(support), values=g)
+        tv = np.zeros(n)
+        tv[support] = g
+        return tv
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6))

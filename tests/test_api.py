@@ -1,7 +1,9 @@
 """The package's public names: every export resolves, removed ones stay gone."""
 
+from dataclasses import fields
+
 import topodesc
-from topodesc import autodiff, config, data, loss, metrics
+from topodesc import autodiff, config, data, loss, metrics, net, topology
 
 TENSOR_OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"
@@ -20,6 +22,11 @@ REMOVED = [
     (autodiff, "detach"),
     (loss, "positive_distance"),
     (topodesc, "positive_distance"),
+    (topodesc, "TopologyVector"),
+    (topology, "TopologyVector"),
+    (topodesc, "topology_vector"),
+    (topology, "topology_vector"),
+    (net, "parameter_names"),
     *[(autodiff.Tensor, op) for op in TENSOR_OPERATORS],
 ]
 
@@ -32,3 +39,4 @@ def test_all_exports_import_and_removed_names_are_gone():
     assert len(set(topodesc.__all__)) == len(topodesc.__all__)
     lingering = [f"{owner.__name__}.{name}" for owner, name in REMOVED if hasattr(owner, name)]
     assert not lingering, lingering
+    assert "anchor_index" not in {f.name for f in fields(topology.LleWeights)}

@@ -9,6 +9,7 @@ import pytest
 
 from topodesc import autodiff as ad
 from topodesc import cli, data, knn
+from topodesc import loss as lossmod
 from topodesc import net as netmod
 from topodesc import train as trainmod
 from topodesc.config import RunConfig, parse_config_file, resolve_config
@@ -527,6 +528,43 @@ class TestInspect:
             assert row.endswith(",0")  # no pair exceeds the d_T = 1 diagnostic
 
 
+    def test_prints_the_loss_graph(self, workspace, capsys):
+        args = ["--seed", "4", "--batch-size", "12", "--k", "3"]
+        paths = ["--checkpoint", str(workspace["checkpoint"]), "--dataset", str(workspace["noisy"])]
+        assert cli.main(["inspect", *paths, *args]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        net = netmod.load_checkpoint(str(workspace["checkpoint"]))
+        ds = data.read_dataset(str(workspace["noisy"]))
+        _, batch_a, batch_p = data.sample_batch(ds, 12, np.random.default_rng(4))
+        desc_a, desc_p = netmod.embed(net, batch_a), netmod.embed(net, batch_p)
+        cfg = lossmod.LossConfig(k=3)
+        structure = lossmod.select_structure(desc_a, desc_p, cfg)
+        tape = ad.Tape()
+        graph = lossmod.build_loss_graph(
+            ad.constant(tape, desc_a), ad.constant(tape, desc_p), 1.0, cfg, structure, tape
+        )
+
+        for tag, idx, w in (
+            ("A", structure.idx_a, graph.weights_a.value),
+            ("P", structure.idx_p, graph.weights_p.value),
+        ):
+            view = [l for l in lines if l.startswith(f"{tag} ")]
+            assert len(view) == 12
+            for i, line in enumerate(view):
+                entries = re.findall(r"\((\d+):([^)]+)\)", line)
+                assert [int(j) for j, _ in entries] == idx[i].tolist()  # nearest first
+                assert [float(v) for _, v in entries] == w[i].tolist()
+        pairs = [re.fullmatch(r"pair \d+: d_E=(\S+) d_T=(\S+)(  \[d_T > 1\])?", l) for l in lines]
+        pairs = [m for m in pairs if m]
+        d_e = np.array([float(m[1]) for m in pairs])
+        d_t = np.array([float(m[2]) for m in pairs])
+        np.testing.assert_array_equal(d_e, graph.d_pos.value)
+        np.testing.assert_array_equal(d_t, graph.d_topo.value)
+        assert d_t.min() > 0.0
+        assert d_t.mean() == lossmod.batch_loss(desc_a, desc_p, 0, cfg).mean_d_pos_topo
+
+
 class TestGradcheckCommand:
     def test_default_passes(self, capsys):
         assert cli.main(["gradcheck", "--seed", "0"]) == 0
@@ -655,6 +693,16 @@ def test_bad_argument_exits_2_with_one_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "o").exists()  # nothing written before the argument was rejected
+
+
+@pytest.mark.parametrize("dim, scenes", [(2**31, 0), (2**30, 1), (400_000_000, 3)])
+def test_huge_dim_header_exits_3(dim, scenes, tmp_path, capsys):
+    path = tmp_path / "huge.tcpd"
+    path.write_bytes(struct.pack("<4sIIIQdd", b"TCPD", 1, scenes, dim, 0, 0.0, 0.0))
+    assert cli.main(["train", "--dataset", str(path), "--out-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: header dim {dim} at offset 12 must be in [1, {data.MAX_DIM}]"], err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -168,6 +168,24 @@ class TestFormatErrors:
         with pytest.raises(DatasetFormatError, match="offset 12"):
             data.read_dataset(str(path))
 
+    @pytest.mark.parametrize("dim, scenes", [(2**31, 0), (2**30, 1), (400_000_000, 3)])
+    def test_huge_dim_header(self, tmp_path, dim, scenes):
+        # a record of 4 + 8 * dim bytes past 2**31 - 1 that numpy cannot describe,
+        # or whose size it would wrap negative
+        path = tmp_path / "huge.tcpd"
+        path.write_bytes(struct.pack("<4sIIIQdd", b"TCPD", 1, scenes, dim, 0, 0.0, 0.0))
+        with pytest.raises(DatasetFormatError, match=f"header dim {dim} at offset 12"):
+            data.read_dataset(str(path))
+
+    def test_largest_dim_header_is_read_as_truncated(self, tmp_path):
+        path = tmp_path / "huge.tcpd"
+        dim = data.MAX_DIM
+        path.write_bytes(struct.pack("<4sIIIQdd", b"TCPD", 1, 1, dim, 0, 0.0, 0.0))
+        assert 4 + 8 * dim <= 2**31 - 1 < 4 + 8 * (dim + 1)
+        need = HEADER_SIZE + 4 + 8 * dim
+        with pytest.raises(DatasetFormatError, match=f"truncated at offset 40: 1 records need {need} bytes"):
+            data.read_dataset(str(path))
+
     @pytest.mark.parametrize("value, scene, slot", [(np.nan, 0, 0), (np.inf, 2, 4), (-np.inf, 3, 5)])
     def test_non_finite_value_names_first_offset(self, tmp_path, value, scene, slot):
         path = self.make_file(tmp_path)

@@ -251,17 +251,16 @@ def oracle_loss(va, vp, lam, cfg, eps):
 
     idx_a = knn.neighbor_index_matrix(va, cfg.k)
     idx_p = knn.neighbor_index_matrix(vp, cfg.k)
-    tvs_a, tvs_p = [], []
+    # dense topology vectors: row i holds anchor i's weights at its neighbors
+    tvs_a, tvs_p = np.zeros((n, n)), np.zeros((n, n))
     for i in range(n):
-        wa = topology.fit_weights(va[i], va[idx_a[i]], eps=eps, anchor_index=i)
-        wp = topology.fit_weights(vp[i], vp[idx_p[i]], eps=eps, anchor_index=i)
-        tvs_a.append(topology.topology_vector(wa, idx_a[i], n))
-        tvs_p.append(topology.topology_vector(wp, idx_p[i], n))
+        tvs_a[i, idx_a[i]] = topology.fit_weights(va[i], va[idx_a[i]], eps=eps).weights
+        tvs_p[i, idx_p[i]] = topology.fit_weights(vp[i], vp[idx_p[i]], eps=eps).weights
 
     hinges = []
     for i in range(n):
         d_pos = cross[i, i]
-        d_topo = topology.topology_distance(tvs_a[i], tvs_p[i])
+        d_topo = float(topology.topology_distance(tvs_a[i], tvs_p[i]))
         gamma_neg, _, _ = brute_hardest(i, cross)
         gamma_pos = positive_distance(d_pos, d_topo, lam)
         hinges.append(max(0.0, cfg.margin + gamma_pos - gamma_neg))

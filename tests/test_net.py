@@ -115,12 +115,15 @@ class TestInit:
 
     def test_parameter_bookkeeping(self):
         net = fresh_net(widths=(3, 5, 2))
-        assert nm.parameter_names(net) == [
+        params = nm.parameters(net)
+        assert list(params) == [
             "layer0.weight",
             "layer0.bias",
             "layer1.weight",
             "layer1.bias",
         ]
+        own = [net.weights[0], net.biases[0], net.weights[1], net.biases[1]]
+        assert all(p is a for p, a in zip(params.values(), own))  # the net's arrays, not copies
         assert net.parameter_count() == 3 * 5 + 5 + 5 * 2 + 2
 
 

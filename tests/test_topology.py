@@ -217,45 +217,40 @@ class TestAffineWeightsNode:
 
 
 class TestTopologyVector:
+    """batch_topology_vectors' dense rows: fitted weights at the kNN positions, zeros elsewhere."""
+
     def test_dense_form(self):
-        fit = topology.LleWeights(0, np.array([0.7, 0.3]), 0.0)
-        tv = topology.topology_vector(fit, np.array([2, 3]), 4)
-        np.testing.assert_allclose(tv.densify(), [0.0, 0.0, 0.7, 0.3], rtol=0)
+        # row 0 sits between rows 1 and 2; rows 1 and 2 are fitted exactly by row 0
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
+        want = [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        np.testing.assert_allclose(topology.batch_topology_vectors(x, 2, eps=0.0), want, atol=1e-15)
 
     def test_two_point_batch(self):
-        fit = topology.LleWeights(0, np.array([1.0]), 0.0)
-        tv = topology.topology_vector(fit, np.array([1]), 2)
-        np.testing.assert_allclose(tv.densify(), [0.0, 1.0], rtol=0)
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(topology.batch_topology_vectors(x, 1), [[0.0, 1.0], [1.0, 0.0]], rtol=0)
 
     def test_densified_sums_to_one(self):
         rng = np.random.default_rng(19)
         for _ in range(25):
             k = int(rng.integers(1, 6))
-            fit = topology.fit_weights(rng.standard_normal(5), rng.standard_normal((k, 5)))
-            idx = rng.choice(np.arange(1, 10), size=k, replace=False)
-            tv = topology.topology_vector(fit, idx, 10)
-            np.testing.assert_allclose(tv.densify().sum(), 1.0, atol=1e-9)
-
-    def test_duplicate_index_rejected(self):
-        fit = topology.LleWeights(0, np.array([0.5, 0.5]), 0.0)
-        with pytest.raises(InvalidInputError):
-            topology.topology_vector(fit, np.array([2, 2]), 4)
-
-    def test_anchor_in_own_list_rejected(self):
-        fit = topology.LleWeights(1, np.array([0.5, 0.5]), 0.0)
-        with pytest.raises(InvalidInputError):
-            topology.topology_vector(fit, np.array([1, 2]), 4)
-
-    def test_out_of_range_rejected(self):
-        fit = topology.LleWeights(0, np.array([1.0]), 0.0)
-        with pytest.raises(InvalidInputError):
-            topology.topology_vector(fit, np.array([4]), 4)
+            t = topology.batch_topology_vectors(unit_rows(rng, 10, 5), k)
+            np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-9)
 
 
 def make_vector(length, support, values):
-    return topology.TopologyVector(
-        length=length, support=np.asarray(support), values=np.asarray(values, dtype=float)
-    )
+    """Dense topology vector: values at support, zeros elsewhere."""
+    t = np.zeros(length)
+    t[np.asarray(support)] = values
+    return t
+
+
+def union_l1_quarter(ta, tp):
+    """Quarter of the l1 distance summed over the two supports only."""
+    support_a, support_p = set(np.flatnonzero(ta)), set(np.flatnonzero(tp))
+    total = sum(abs(ta[j]) for j in support_a - support_p)
+    total += sum(abs(tp[j]) for j in support_p - support_a)
+    total += sum(abs(ta[j] - tp[j]) for j in support_a & support_p)
+    return 0.25 * total
 
 
 class TestTopologyDistance:
@@ -281,17 +276,27 @@ class TestTopologyDistance:
             kp = int(rng.integers(1, n))
             ta = make_vector(n, rng.choice(n, ka, replace=False), rng.standard_normal(ka))
             tp = make_vector(n, rng.choice(n, kp, replace=False), rng.standard_normal(kp))
-            want = 0.25 * np.abs(ta.densify() - tp.densify()).sum()
+            want = union_l1_quarter(ta, tp)
             np.testing.assert_allclose(topology.topology_distance(ta, tp), want, rtol=1e-12)
+
+    def test_matrices_give_one_value_per_row(self):
+        rng = np.random.default_rng(24)
+        ta = topology.batch_topology_vectors(unit_rows(rng, 12, 5), 3)
+        tp = topology.batch_topology_vectors(unit_rows(rng, 12, 5), 3)
+        got = topology.topology_distance(ta, tp)
+        assert got.shape == (12,)
+        np.testing.assert_array_equal(got, [topology.topology_distance(a, p) for a, p in zip(ta, tp)])
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             topology.topology_distance(make_vector(4, [0], [1.0]), make_vector(5, [0], [1.0]))
+        with pytest.raises(InvalidInputError):
+            topology.topology_distance(np.zeros((3, 4)), make_vector(4, [0], [1.0]))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_metric_axioms(self, seed):
-        """Symmetry and the triangle inequality on densified vectors."""
+        """Symmetry and the triangle inequality on dense vectors."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 12))
         vecs = []
@@ -314,8 +319,11 @@ class TestBatchTopologyVectors:
     def test_sum_to_one_and_support_matches_knn(self):
         rng = np.random.default_rng(29)
         x = unit_rows(rng, 14, 6)
-        vectors = topology.batch_topology_vectors(x, 4)
+        t = topology.batch_topology_vectors(x, 4)
         idx = neighbor_index_matrix(x, 4)
-        for i, tv in enumerate(vectors):
-            np.testing.assert_allclose(tv.values.sum(), 1.0, atol=1e-8)
-            np.testing.assert_array_equal(tv.support, idx[i])
+        w = topology.affine_weight_values(x, idx)
+        assert t.shape == (14, 14) and t.dtype == np.float64
+        for i, row in enumerate(t):
+            np.testing.assert_array_equal(np.flatnonzero(row), np.sort(idx[i]))
+            np.testing.assert_array_equal(row[idx[i]], w[i])
+            np.testing.assert_allclose(row.sum(), 1.0, atol=1e-8)
