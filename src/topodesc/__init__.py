@@ -26,12 +26,7 @@ from .loss import (
 )
 from .metrics import MetricReport, fpr95, retrieval_map, verification_pairs
 from .net import EmbeddingNet, embed, init_net, load_checkpoint, save_checkpoint, sgd_step
-from .topology import (
-    LleWeights,
-    batch_topology_vectors,
-    fit_weights,
-    topology_distance,
-)
+from .topology import batch_topology_vectors, topology_distance
 from .train import TrainingDivergenceError, TrainResult, run_training
 
 __version__ = "0.1.0"
@@ -69,9 +64,7 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "sgd_step",
-    "LleWeights",
     "batch_topology_vectors",
-    "fit_weights",
     "topology_distance",
     "TrainingDivergenceError",
     "TrainResult",

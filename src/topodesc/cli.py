@@ -141,11 +141,14 @@ def cmd_train(args) -> int:
     if not cfg.out_dir:
         print("error: an output directory is required (--out-dir or config file)", file=sys.stderr)
         return EXIT_USAGE
+    # Reject a run that config.txt cannot reproduce, or that cannot start,
+    # before writing anything.
+    config_text = format_config(cfg)
     dataset = datamod.read_dataset(cfg.dataset)
-    training_split(cfg, dataset)  # reject a run that cannot start before writing anything
+    training_split(cfg, dataset)
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config.txt"), "w") as fh:
-        fh.write(format_config(cfg))
+        fh.write(config_text)
     try:
         result = run_training(cfg, dataset)
     except TrainingDivergenceError as exc:

@@ -85,8 +85,11 @@ class RunConfig(LossConfig):
 
 
 # The desk preset is the documented default: it finishes in minutes on one
-# core. The schedule constants are scaled so the blend actually decays
-# within a 2000-iteration run, mirroring the full-scale shape.
+# core. Its schedule constants are scaled so the blend starts to decay within
+# a 2000-iteration run, but not to the paper preset's shape: the paper preset
+# reaches the 0.5 floor at iteration 240,001 of 250,000, while a desk run ends
+# at lambda = 0.625 and would reach the floor only at iteration 2,401
+# (lambda_n0 = 400, lambda_N = 80 would mirror the paper's shape).
 DESK_PRESET: dict = {}
 
 # Full-scale constants; running this preset is a deliberate user choice.
@@ -105,6 +108,8 @@ _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")
+# A string value that parse_config_file would not read back as itself.
+_UNREADABLE = re.compile(r"[\r\n]|^\s|\s$|(?:^|\s)#")
 
 
 def parse_net_widths(raw: str) -> tuple[int, ...]:
@@ -183,11 +188,21 @@ def resolve_config(
 
 
 def format_config(cfg: RunConfig) -> str:
-    """Render the effective configuration in config-file syntax."""
+    """Render the effective configuration in config-file syntax.
+
+    Raises InvalidArgumentError naming the field when a string value would
+    not parse back to itself: one with a line break, leading or trailing
+    whitespace, or a `#` at its start or after whitespace.
+    """
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.name == "net_widths":
             value = ",".join(str(w) for w in value)
+        elif isinstance(value, str) and _UNREADABLE.search(value):
+            raise InvalidArgumentError(
+                f"{f.name} {value!r} would not read back from config.txt: it has a line "
+                "break, leading or trailing whitespace, or a '#' that starts a comment"
+            )
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

@@ -175,17 +175,13 @@ def subset(ds: DatasetFile, indices: np.ndarray) -> DatasetFile:
     )
 
 
-def split_train_heldout(
-    ds: DatasetFile, fraction: float = HOLDOUT_FRACTION
-) -> tuple[DatasetFile, DatasetFile]:
-    """Leading (1 - fraction) of scenes for training, trailing block held out.
+def split_train_heldout(ds: DatasetFile) -> tuple[DatasetFile, DatasetFile]:
+    """Leading (1 - HOLDOUT_FRACTION) of scenes for training, trailing block held out.
 
     Both halves keep at least one scene so a split never silently empties.
     """
-    if not 0.0 < fraction < 1.0:
-        raise InvalidArgumentError(f"fraction must be in (0, 1), got {fraction}")
     n = ds.scene_count
-    cut = int(round(n * (1.0 - fraction)))
+    cut = int(round(n * (1.0 - HOLDOUT_FRACTION)))
     cut = min(max(cut, 1), n - 1)
     return subset(ds, np.arange(cut)), subset(ds, np.arange(cut, n))
 

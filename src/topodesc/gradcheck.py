@@ -34,8 +34,8 @@ class GradCheckReport:
 def _frozen_loss(net, patches_a, patches_p, lam, cfg, structure) -> float:
     tape = ad.Tape()
     leaves = netmod.make_leaves(net, tape, trainable=False)
-    da, _ = netmod.forward(net, patches_a, tape, leaves)
-    dp, _ = netmod.forward(net, patches_p, tape, leaves)
+    da = netmod.forward(net, patches_a, tape, leaves)
+    dp = netmod.forward(net, patches_p, tape, leaves)
     graph = lossmod.build_loss_graph(da, dp, lam, cfg, structure, tape)
     return float(graph.loss.value)
 
@@ -63,8 +63,8 @@ def grad_check(
 
     tape = ad.Tape()
     leaves = netmod.make_leaves(net, tape)
-    da, _ = netmod.forward(net, patches_a, tape, leaves)
-    dp, _ = netmod.forward(net, patches_p, tape, leaves)
+    da = netmod.forward(net, patches_a, tape, leaves)
+    dp = netmod.forward(net, patches_p, tape, leaves)
     structure = lossmod.select_structure(da.value, dp.value, cfg)
     graph = lossmod.build_loss_graph(da, dp, lam, cfg, structure, tape)
     ad.backward(tape, graph.loss)

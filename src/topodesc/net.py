@@ -15,7 +15,7 @@ CHECKPOINT_MAGIC = b"TCD1"
 
 @dataclass
 class EmbeddingNet:
-    """Layer widths, per-layer weights (out, in), biases, and activation tags.
+    """Layer widths and per-layer weights (out, in) and biases.
 
     Hidden layers use tanh; the final layer is linear and its output is
     L2-normalized row-wise, so descriptors always live on the unit sphere.
@@ -24,7 +24,11 @@ class EmbeddingNet:
     widths: tuple[int, ...]
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
-    activations: tuple[str, ...] = ()
+
+    @property
+    def activations(self) -> tuple[str, ...]:
+        """One tag per layer: tanh for the hidden layers, linear for the last."""
+        return ("tanh",) * (len(self.weights) - 1) + ("linear",)
 
     @property
     def input_dim(self) -> int:
@@ -38,9 +42,6 @@ class EmbeddingNet:
     def dtype(self):
         return self.weights[0].dtype
 
-    def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 def init_net(widths, rng: np.random.Generator, dtype=np.float64) -> EmbeddingNet:
     """Create a network with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights."""
@@ -52,8 +53,7 @@ def init_net(widths, rng: np.random.Generator, dtype=np.float64) -> EmbeddingNet
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype))
         biases.append(rng.uniform(-bound, bound, size=fan_out).astype(dtype))
-    tags = ("tanh",) * (len(widths) - 2) + ("linear",)
-    return EmbeddingNet(widths=widths, weights=weights, biases=biases, activations=tags)
+    return EmbeddingNet(widths=widths, weights=weights, biases=biases)
 
 
 def parameters(net: EmbeddingNet) -> dict[str, np.ndarray]:
@@ -79,13 +79,13 @@ def forward(
     net: EmbeddingNet,
     patches: np.ndarray,
     tape: ad.Tape,
-    leaves: dict[str, ad.Tensor] | None = None,
-) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
-    """Build the descriptor graph for a batch of patch vectors.
+    leaves: dict[str, ad.Tensor],
+) -> ad.Tensor:
+    """Build the (n, output_dim) descriptor graph for a batch of patch vectors.
 
-    Returns the (n, output_dim) descriptor tensor and the parameter leaves.
-    Pass the same `leaves` for a second call to share parameters between the
-    anchor and positive branches of a step.
+    `leaves` are the parameter nodes from make_leaves; passing the same ones
+    to both calls of a step shares the parameters between the anchor and
+    positive branches.
 
     Raises DegenerateDescriptorError if any pre-normalization row is zero or
     non-finite, since such a row cannot be placed on the unit sphere.
@@ -97,8 +97,6 @@ def forward(
         )
     if not np.all(np.isfinite(patches)):
         raise InvalidInputError("patches contain non-finite values")
-    if leaves is None:
-        leaves = make_leaves(net, tape)
     x = ad.constant(tape, patches.astype(net.dtype, copy=False))
     for i, tag in enumerate(net.activations):
         w = leaves[f"layer{i}.weight"]
@@ -114,15 +112,13 @@ def forward(
     if np.any(pre == 0):
         bad = int(np.flatnonzero(pre.ravel() == 0)[0])
         raise DegenerateDescriptorError(f"zero-norm descriptor at row {bad}")
-    desc = ad.div(x, ad.sqrt_(sq))
-    return desc, leaves
+    return ad.div(x, ad.sqrt_(sq))
 
 
 def embed(net: EmbeddingNet, patches: np.ndarray) -> np.ndarray:
     """Plain forward pass: unit-norm descriptors as a numpy array."""
     tape = ad.Tape()
-    desc, _ = forward(net, patches, tape, leaves=make_leaves(net, tape, trainable=False))
-    return desc.value
+    return forward(net, patches, tape, make_leaves(net, tape, trainable=False)).value
 
 
 def sgd_step(
@@ -207,8 +203,7 @@ def load_checkpoint(path: str, dtype=np.float64) -> EmbeddingNet:
     bad = ~np.isfinite(np.frombuffer(blob, dtype="<f8", offset=need))
     if bad.any():
         raise DatasetFormatError(f"non-finite parameter at offset {need + 8 * int(np.argmax(bad))}")
-    tags = ("tanh",) * (len(widths) - 2) + ("linear",)
-    return EmbeddingNet(widths=tuple(widths), weights=weights, biases=biases, activations=tags)
+    return EmbeddingNet(widths=tuple(widths), weights=weights, biases=biases)
 
 
 def cast_net(net: EmbeddingNet, dtype) -> EmbeddingNet:
@@ -216,5 +211,4 @@ def cast_net(net: EmbeddingNet, dtype) -> EmbeddingNet:
         widths=net.widths,
         weights=[w.astype(dtype) for w in net.weights],
         biases=[b.astype(dtype) for b in net.biases],
-        activations=net.activations,
     )

@@ -9,15 +9,13 @@ rows.
 ``affine_weights`` is the only implementation of the fit: one autodiff node
 from the descriptors and their kNN indices to the weights, whose backward is
 the closed form of the LLE weights' derivative. Training records it on the
-tape; ``fit_weights`` (a batch of one), ``batch_topology_vectors`` and
-``affine_weight_values`` run it on constants. The d_T that training uses is
-the loss graph's (``loss.build_loss_graph``); ``batch_topology_vectors`` and
+tape; ``affine_weight_values`` and ``batch_topology_vectors`` run it on
+constants. The d_T that training uses is the loss graph's
+(``loss.build_loss_graph``); ``batch_topology_vectors`` and
 ``topology_distance`` spell out the definition on dense rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,18 +28,6 @@ DEFAULT_EPS = 1e-3
 
 # Fits whose normalizer 1' S^-1 1 is smaller than this are rejected.
 NORMALIZER_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class LleWeights:
-    """Affine-fit weights of one anchor over its k neighbors.
-
-    Weights sum to one but are not sign-constrained; negative entries are
-    legal and meaningful downstream.
-    """
-
-    weights: np.ndarray
-    residual: float
 
 
 def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> ad.Tensor:
@@ -110,30 +96,6 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> a
 def affine_weight_values(x: np.ndarray, idx: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Value-only affine weights (n, k) of every row of x over its rows idx."""
     return affine_weights(ad.constant(ad.Tape(), x), idx, eps).value
-
-
-def fit_weights(anchor: np.ndarray, neighbors: np.ndarray, eps: float = DEFAULT_EPS) -> LleWeights:
-    """Affine fit of one anchor over its k neighbors, in double precision.
-
-    A batch of one for affine_weights, which documents the fit: the anchor
-    is row 0 and its neighbors rows 1..k.
-    """
-    anchor = np.asarray(anchor, dtype=np.float64)
-    neighbors = np.asarray(neighbors, dtype=np.float64)
-    if neighbors.ndim != 2 or anchor.ndim != 1 or neighbors.shape[1] != anchor.shape[0]:
-        raise InvalidInputError(
-            f"anchor of dim {anchor.shape} does not match neighbors {neighbors.shape}"
-        )
-    k = neighbors.shape[0]
-    if k < 1:
-        raise InvalidInputError("at least one neighbor is required")
-    if not np.isfinite(anchor).all() or not np.isfinite(neighbors).all():
-        raise InvalidInputError("fit input contains non-finite entries")
-
-    x = np.concatenate([anchor[None], neighbors])
-    w = affine_weight_values(x, np.arange(1, k + 1)[None], eps)[0]
-    residual = float(np.linalg.norm(anchor - w @ neighbors))
-    return LleWeights(weights=w, residual=residual)
 
 
 def topology_distance(ta: np.ndarray, tp: np.ndarray) -> float | np.ndarray:

@@ -103,8 +103,8 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile | None = None) -> 
         tape = ad.Tape()
         try:
             leaves = netmod.make_leaves(net, tape)
-            desc_a, _ = netmod.forward(net, batch_a, tape, leaves)
-            desc_p, _ = netmod.forward(net, batch_p, tape, leaves)
+            desc_a = netmod.forward(net, batch_a, tape, leaves)
+            desc_p = netmod.forward(net, batch_p, tape, leaves)
             structure = lossmod.select_structure(desc_a.value, desc_p.value, cfg)
             graph = lossmod.build_loss_graph(desc_a, desc_p, lam, cfg, structure, tape)
         except (DegenerateDescriptorError, DegenerateFitError, SingularSystemError) as exc:
@@ -139,12 +139,3 @@ def write_log(rows: list[lossmod.LossReport], path: str) -> None:
                     r.active_triplets,
                 ]
             )
-
-
-def read_log(path: str) -> list[dict]:
-    """Parse a training log back into per-iteration dicts of floats."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            {key: float(value) for key, value in row.items()} for row in reader
-        ]

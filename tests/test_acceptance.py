@@ -18,6 +18,8 @@ from topodesc.config import RunConfig
 from topodesc.loss import LossConfig, lambda_schedule
 from topodesc.net import embed, init_net
 
+from single_fit import fit_one
+
 
 def unit_rows(rng, n, d):
     x = rng.standard_normal((n, d))
@@ -90,12 +92,12 @@ def test_criterion_1_affine_fit_matches_projected_gradient_oracle():
         neighbors = rng.standard_normal((k, dim))
         # eps=1e-10 keeps the conditioning term below the comparison
         # tolerance; the default 1e-3 solves a visibly shifted objective
-        fit = topology.fit_weights(anchor, neighbors, eps=1e-10)
+        w_cf = fit_one(anchor, neighbors, eps=1e-10)
         w_pg = projected_gradient_weights(anchor, neighbors)
-        obj_cf = float(np.sum((anchor - fit.weights @ neighbors) ** 2))
+        obj_cf = float(np.sum((anchor - w_cf @ neighbors) ** 2))
         obj_pg = float(np.sum((anchor - w_pg @ neighbors) ** 2))
         worst_gap = max(worst_gap, abs(obj_cf - obj_pg))
-        worst_sum = max(worst_sum, abs(float(fit.weights.sum()) - 1.0))
+        worst_sum = max(worst_sum, abs(float(w_cf.sum()) - 1.0))
     elapsed = time.perf_counter() - t0
     assert worst_gap <= 1e-6
     assert worst_sum <= 1e-9
@@ -273,7 +275,7 @@ def test_criterion_8_metric_oracles_exact():
         for i in range(nq):
             order = sorted(range(ng), key=lambda j: (dist[i, j], j))
             ap[i] = 1.0 / (order.index(int(gt[i])) + 1)
-        assert metrics.retrieval_map(q, g, gt) == ap.mean()
+        assert metrics.retrieval_map(dist, gt) == ap.mean()
     print("criterion 8 PASS: fpr95 and retrieval mAP match their oracles on 100 inputs each")
 
 
@@ -324,9 +326,9 @@ def test_criterion_9_invariant_property_suite():
         neighbors = rng.standard_normal((k, d))
         shift = rng.standard_normal(d) * 10.0
         scale = float(np.exp(rng.uniform(-2, 2)))
-        base = topology.fit_weights(anchor, neighbors)
-        moved = topology.fit_weights(scale * (anchor + shift), scale * (neighbors + shift))
-        np.testing.assert_allclose(moved.weights, base.weights, atol=1e-8)
+        base = fit_one(anchor, neighbors)
+        moved = fit_one(scale * (anchor + shift), scale * (neighbors + shift))
+        np.testing.assert_allclose(moved, base, atol=1e-8)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6))

@@ -1,9 +1,10 @@
 """The package's public names: every export resolves, removed ones stay gone."""
 
+import inspect
 from dataclasses import fields
 
 import topodesc
-from topodesc import autodiff, config, data, loss, metrics, net, topology
+from topodesc import autodiff, config, data, loss, metrics, net, topology, train
 
 TENSOR_OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"
@@ -27,6 +28,12 @@ REMOVED = [
     (topodesc, "topology_vector"),
     (topology, "topology_vector"),
     (net, "parameter_names"),
+    (topodesc, "fit_weights"),
+    (topology, "fit_weights"),
+    (topodesc, "LleWeights"),
+    (topology, "LleWeights"),
+    (net.EmbeddingNet, "parameter_count"),
+    (train, "read_log"),
     *[(autodiff.Tensor, op) for op in TENSOR_OPERATORS],
 ]
 
@@ -39,4 +46,8 @@ def test_all_exports_import_and_removed_names_are_gone():
     assert len(set(topodesc.__all__)) == len(topodesc.__all__)
     lingering = [f"{owner.__name__}.{name}" for owner, name in REMOVED if hasattr(owner, name)]
     assert not lingering, lingering
-    assert "anchor_index" not in {f.name for f in fields(topology.LleWeights)}
+    # activation tags are derived from the layer count, not stored
+    assert "activations" not in {f.name for f in fields(net.EmbeddingNet)}
+    assert "fraction" not in inspect.signature(data.split_train_heldout).parameters
+    leaves = inspect.signature(net.forward).parameters["leaves"]
+    assert leaves.default is inspect.Parameter.empty

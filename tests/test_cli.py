@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process via cli.main."""
 
+import csv
 import re
 import struct
 from dataclasses import fields
@@ -11,7 +12,6 @@ from topodesc import autodiff as ad
 from topodesc import cli, data, knn
 from topodesc import loss as lossmod
 from topodesc import net as netmod
-from topodesc import train as trainmod
 from topodesc.config import RunConfig, parse_config_file, resolve_config
 
 
@@ -136,6 +136,12 @@ def _as_text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
+def read_log(path):
+    """train_log.csv rows as dicts of floats."""
+    with open(path, newline="") as fh:
+        return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(fh)]
+
+
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path, capsys):
         a = tmp_path / "a.tcpd"
@@ -233,7 +239,7 @@ class TestTrain:
         assert outs[0] == outs[1]
 
     def test_loss_decreases_over_short_run(self, workspace):
-        rows = trainmod.read_log(str(workspace["log"]))
+        rows = read_log(workspace["log"])
         assert rows[-1]["loss"] < rows[0]["loss"]
 
     def test_off_mode_matches_fixed_lambda_one(self, workspace, tmp_path):
@@ -249,7 +255,7 @@ class TestTrain:
                 + extra
             )
             assert code == 0
-            logs.append(trainmod.read_log(str(out / "train_log.csv")))
+            logs.append(read_log(out / "train_log.csv"))
         for row_off, row_fixed in zip(*logs):
             assert abs(row_off["loss"] - row_fixed["loss"]) <= 1e-12
             assert row_off["active_triplets"] == row_fixed["active_triplets"]
@@ -304,6 +310,25 @@ class TestTrain:
         )
         assert code == 0
         assert "seed = 123" in (out / "config.txt").read_text()
+
+    @pytest.mark.parametrize("field", ["dataset", "out_dir"])
+    def test_run_config_txt_cannot_reproduce_exits_2(
+        self, field, workspace, tmp_path, monkeypatch, capsys
+    ):
+        # config.txt would read these back as "my data" and "run0"
+        monkeypatch.chdir(tmp_path)
+        dataset, out_dir = workspace["noisy"], "o"
+        if field == "dataset":
+            dataset = tmp_path / "my data #1.tcpd"
+            dataset.write_bytes(workspace["noisy"].read_bytes())
+        else:
+            out_dir = " run0"
+        code = cli.main(["train", "--dataset", str(dataset), "--out-dir", out_dir] + TRAIN_FLAGS)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} "), err
+        written = [p.name for p in tmp_path.iterdir()]
+        assert written == (["my data #1.tcpd"] if field == "dataset" else [])
 
     def test_config_echo_reproduces_the_run(self, workspace, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"

@@ -191,3 +191,39 @@ class TestFormat:
     def test_net_widths_render_flat(self):
         text = C.format_config(C.RunConfig(net_widths=(4, 8, 2)))
         assert "net_widths = 4,8,2" in text
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dataset", "my data #1.tcpd"),  # would read back as "my data"
+            ("dataset", "#data.tcpd"),
+            ("out_dir", " run0"),  # would read back as "run0"
+            ("out_dir", "run0\t"),
+            ("out_dir", "run\n0"),
+            ("dataset", "d\r.tcpd"),
+            ("lambda_mode", "fixed:0.5 "),
+        ],
+        ids=[
+            "hash-after-space",
+            "leading-hash",
+            "leading-space",
+            "trailing-tab",
+            "newline",
+            "carriage-return",
+            "trailing-space",
+        ],
+    )
+    def test_value_that_would_not_read_back_is_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=f"^{field} "):
+            C.format_config(C.RunConfig(**{field: value}))
+
+    @pytest.mark.parametrize(
+        "value",
+        ["my data.tcpd", "data#1.tcpd", "a = b", "run 0#x"],
+        ids=["inner-space", "inner-hash", "equals-sign", "hash-after-digit"],
+    )
+    def test_inner_space_and_hash_round_trip(self, value, tmp_path):
+        cfg = C.RunConfig(dataset=value, out_dir=value)
+        path = tmp_path / "echo.cfg"
+        path.write_text(C.format_config(cfg))
+        assert C.resolve_config(file_values=C.parse_config_file(str(path))) == cfg

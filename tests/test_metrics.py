@@ -124,12 +124,12 @@ class TestRetrievalMap:
     def test_perfect_ranking(self):
         rng = np.random.default_rng(2)
         g = unit_rows(rng, 12, 6)
-        assert metrics.retrieval_map(g, g, np.arange(12)) == 1.0
+        assert metrics.retrieval_map(pairwise_distances(g, g), np.arange(12)) == 1.0
 
     def test_true_match_at_rank_two(self):
         q = np.array([[1.0, 0.0]])
         gallery = np.array([[1.0, 0.0], [np.cos(0.1), np.sin(0.1)]])
-        assert metrics.retrieval_map(q, gallery, np.array([1])) == 0.5
+        assert metrics.retrieval_map(pairwise_distances(q, gallery), np.array([1])) == 0.5
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(3)
@@ -137,7 +137,7 @@ class TestRetrievalMap:
             q = unit_rows(rng, 9, 5)
             g = unit_rows(rng, 14, 5)
             gt = rng.integers(0, 14, size=9)
-            got = metrics.retrieval_map(q, g, gt)
+            got = metrics.retrieval_map(pairwise_distances(q, g), gt)
             assert got == pytest.approx(map_oracle(q, g, gt), abs=1e-15)
             assert got == argsort_map_oracle(q, g, gt)
 
@@ -153,7 +153,7 @@ class TestRetrievalMap:
         gt = np.concatenate([rng.choice(ties, size=48), rng.integers(0, 1024, size=16)])
         dist = pairwise_distances(q, g)
         assert all(np.unique(dist[i, ties]).size == 1 for i in range(64))
-        got = metrics.retrieval_map(q, g, gt)
+        got = metrics.retrieval_map(dist, gt)
         assert got == argsort_map_oracle(q, g, gt)
         assert got < 0.5  # the ranks inside the run really differ
 
@@ -162,21 +162,21 @@ class TestRetrievalMap:
         q = unit_rows(rng, 8, 5)
         g = unit_rows(rng, 10, 5)
         gt = rng.integers(0, 10, size=8)
-        base = metrics.retrieval_map(q, g, gt)
+        base = metrics.retrieval_map(pairwise_distances(q, g), gt)
         perm = rng.permutation(10)
         inv = np.argsort(perm)
-        assert metrics.retrieval_map(q, g[perm], inv[gt]) == pytest.approx(base, abs=1e-15)
+        assert metrics.retrieval_map(pairwise_distances(q, g[perm]), inv[gt]) == pytest.approx(base, abs=1e-15)
 
     def test_ground_truth_validation(self):
         rng = np.random.default_rng(5)
         q = unit_rows(rng, 3, 4)
         g = unit_rows(rng, 5, 4)
         with pytest.raises(InvalidInputError, match="outside the gallery"):
-            metrics.retrieval_map(q, g, np.array([0, 1, 5]))
+            metrics.retrieval_map(pairwise_distances(q, g), np.array([0, 1, 5]))
         with pytest.raises(InvalidInputError):
-            metrics.retrieval_map(q, g, np.array([0, 1]))
+            metrics.retrieval_map(pairwise_distances(q, g), np.array([0, 1]))
         with pytest.raises(InvalidInputError):
-            metrics.retrieval_map(np.empty((0, 4)), g, np.array([], dtype=int))
+            metrics.retrieval_map(pairwise_distances(np.empty((0, 4)), g), np.array([], dtype=int))
 
 
 class TestVerificationPairs:
@@ -184,10 +184,10 @@ class TestVerificationPairs:
         rng = np.random.default_rng(6)
         a = unit_rows(rng, 10, 4)
         p = unit_rows(rng, 10, 4)
-        distances, is_match = metrics.verification_pairs(a, p, 1, np.random.default_rng(0))
+        distances, is_match = metrics.verification_pairs(pairwise_distances(a, p), 1, np.random.default_rng(0))
         assert np.count_nonzero(is_match) == 10
         assert np.count_nonzero(~is_match) == 10
-        distances, is_match = metrics.verification_pairs(a, p, 3, np.random.default_rng(0))
+        distances, is_match = metrics.verification_pairs(pairwise_distances(a, p), 3, np.random.default_rng(0))
         assert np.count_nonzero(~is_match) == 30
         assert distances.shape == is_match.shape == (40,)
 
@@ -195,14 +195,14 @@ class TestVerificationPairs:
         rng = np.random.default_rng(7)
         a = unit_rows(rng, 12, 4)
         p = unit_rows(rng, 12, 4)
-        d1, m1 = metrics.verification_pairs(a, p, 2, np.random.default_rng(3))
-        d2, m2 = metrics.verification_pairs(a, p, 2, np.random.default_rng(3))
+        d1, m1 = metrics.verification_pairs(pairwise_distances(a, p), 2, np.random.default_rng(3))
+        d2, m2 = metrics.verification_pairs(pairwise_distances(a, p), 2, np.random.default_rng(3))
         assert np.array_equal(d1, d2) and np.array_equal(m1, m2)
 
     def test_matches_use_aligned_indices(self):
         rng = np.random.default_rng(8)
         a = unit_rows(rng, 6, 4)
-        distances, is_match = metrics.verification_pairs(a, a.copy(), 2, np.random.default_rng(1))
+        distances, is_match = metrics.verification_pairs(pairwise_distances(a, a.copy()), 2, np.random.default_rng(1))
         for d, match in zip(distances, is_match):
             if match:
                 assert d == pytest.approx(0.0, abs=3e-8)
@@ -214,7 +214,7 @@ class TestVerificationPairs:
         rng = np.random.default_rng(13)
         a = unit_rows(rng, 257, 6)
         p = unit_rows(rng, 257, 6)
-        got = metrics.verification_pairs(a, p, negatives_per_positive, np.random.default_rng(4))
+        got = metrics.verification_pairs(pairwise_distances(a, p), negatives_per_positive, np.random.default_rng(4))
         want = per_row_pairs_oracle(a, p, negatives_per_positive, np.random.default_rng(4))
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -223,11 +223,11 @@ class TestVerificationPairs:
         rng = np.random.default_rng(9)
         a = unit_rows(rng, 4, 4)
         with pytest.raises(InvalidInputError):
-            metrics.verification_pairs(a, a[:3], 1, np.random.default_rng(0))
+            metrics.verification_pairs(pairwise_distances(a, a[:3]), 1, np.random.default_rng(0))
         with pytest.raises(InvalidInputError):
-            metrics.verification_pairs(a[:1], a[:1], 1, np.random.default_rng(0))
+            metrics.verification_pairs(pairwise_distances(a[:1], a[:1]), 1, np.random.default_rng(0))
         with pytest.raises(InvalidArgumentError):
-            metrics.verification_pairs(a, a, 0, np.random.default_rng(0))
+            metrics.verification_pairs(pairwise_distances(a, a), 0, np.random.default_rng(0))
 
 
 class TestEvaluateDescriptors:
@@ -245,6 +245,6 @@ class TestEvaluateDescriptors:
         a = unit_rows(rng, 15, 5)
         p = unit_rows(rng, 15, 5)
         report = metrics.evaluate_descriptors(a, p, 4, np.random.default_rng(9))
-        pairs = metrics.verification_pairs(a, p, 4, np.random.default_rng(9))
+        pairs = metrics.verification_pairs(pairwise_distances(a, p), 4, np.random.default_rng(9))
         assert report.fpr95 == metrics.fpr95(*pairs)
-        assert report.mAP == metrics.retrieval_map(a, p, np.arange(15))
+        assert report.mAP == metrics.retrieval_map(pairwise_distances(a, p), np.arange(15))

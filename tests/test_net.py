@@ -35,7 +35,6 @@ class TestForward:
             widths=(3, 3),
             weights=[np.eye(3)],
             biases=[np.zeros(3)],
-            activations=("linear",),
         )
         x = np.array([[3.0, 0.0, 4.0], [0.0, -2.0, 0.0]])
         d = nm.embed(net, x)
@@ -46,11 +45,25 @@ class TestForward:
             widths=(3, 3),
             weights=[np.eye(3)],
             biases=[np.zeros(3)],
-            activations=("linear",),
         )
         x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(DegenerateDescriptorError, match="row 1"):
             nm.embed(net, x)
+
+    def test_net_built_without_tags_applies_its_layers(self):
+        swap = nm.EmbeddingNet(
+            widths=(2, 2), weights=[np.array([[0.0, 1.0], [1.0, 0.0]])], biases=[np.zeros(2)]
+        )
+        np.testing.assert_array_equal(nm.embed(swap, np.array([[3.0, 4.0]])), [[0.8, 0.6]])
+        rng = np.random.default_rng(20)
+        weights = [rng.standard_normal((5, 3)), rng.standard_normal((2, 5))]
+        biases = [rng.standard_normal(5), rng.standard_normal(2)]
+        net = nm.EmbeddingNet(widths=(3, 5, 2), weights=weights, biases=biases)
+        assert net.activations == ("tanh", "linear")
+        x = rng.standard_normal((4, 3))
+        want = np.tanh(x @ weights[0].T + biases[0]) @ weights[1].T + biases[1]
+        want /= np.linalg.norm(want, axis=1, keepdims=True)
+        np.testing.assert_allclose(nm.embed(net, x), want, rtol=1e-12, atol=1e-15)
 
     def test_input_width_mismatch(self):
         net = fresh_net()
@@ -71,7 +84,7 @@ class TestForward:
         x = np.random.default_rng(4).standard_normal((16, 6))
         tape = ad.Tape()
         leaves = nm.make_leaves(net, tape)
-        desc, _ = nm.forward(net, x, tape, leaves=leaves)
+        desc = nm.forward(net, x, tape, leaves)
         ad.backward(tape, desc, adjoint=desc.value)
         worst = max(float(np.max(np.abs(t.grad))) for t in leaves.values() if t.grad is not None)
         assert worst <= 1e-8
@@ -82,9 +95,9 @@ class TestForward:
         xa = rng.standard_normal((8, 6))
         xp = rng.standard_normal((8, 6))
         tape = ad.Tape()
-        da, leaves = nm.forward(net, xa, tape)
-        dp, leaves_again = nm.forward(net, xp, tape, leaves=leaves)
-        assert leaves is leaves_again
+        leaves = nm.make_leaves(net, tape)
+        da = nm.forward(net, xa, tape, leaves)
+        dp = nm.forward(net, xp, tape, leaves)
         out = ad.sum_(ad.mul(ad.sub(da, dp), ad.sub(da, dp)))
         ad.backward(tape, out)
         assert all(t.grad is not None for t in leaves.values())
@@ -124,7 +137,6 @@ class TestInit:
         ]
         own = [net.weights[0], net.biases[0], net.weights[1], net.biases[1]]
         assert all(p is a for p, a in zip(params.values(), own))  # the net's arrays, not copies
-        assert net.parameter_count() == 3 * 5 + 5 + 5 * 2 + 2
 
 
 class TestSgdStep:
@@ -153,7 +165,6 @@ class TestSgdStep:
             widths=(1, 1),
             weights=[np.array([[10.0]])],
             biases=[np.array([0.0])],
-            activations=("linear",),
         )
         g = {"layer0.weight": np.array([[1.0]]), "layer0.bias": np.array([0.0])}
         state = nm.sgd_step(net, g, lr=0.1, momentum=0.9, weight_decay=0.0)
@@ -165,7 +176,6 @@ class TestSgdStep:
             widths=(1, 1),
             weights=[np.array([[2.0]])],
             biases=[np.array([4.0])],
-            activations=("linear",),
         )
         zero = {"layer0.weight": np.zeros((1, 1)), "layer0.bias": np.zeros(1)}
         nm.sgd_step(net, zero, lr=0.1, momentum=0.0, weight_decay=0.1)
@@ -189,8 +199,8 @@ class TestSgdStep:
         def loss_and_grads(do_backward):
             tape = ad.Tape()
             leaves = nm.make_leaves(net, tape)
-            da, _ = nm.forward(net, xa, tape, leaves=leaves)
-            dp, _ = nm.forward(net, xp, tape, leaves=leaves)
+            da = nm.forward(net, xa, tape, leaves)
+            dp = nm.forward(net, xp, tape, leaves)
             structure = L.select_structure(da.value, dp.value, cfg)
             graph = L.build_loss_graph(da, dp, 0.5, cfg, structure, tape)
             if not do_backward:
@@ -209,6 +219,20 @@ class TestSgdStep:
 
 
 class TestCheckpoint:
+    def test_three_layer_net_embeds_the_same_after_reload(self, tmp_path):
+        rng = np.random.default_rng(21)
+        widths = (4, 6, 5, 3)
+        net = nm.EmbeddingNet(
+            widths=widths,
+            weights=[rng.standard_normal((o, i)) for i, o in zip(widths[:-1], widths[1:])],
+            biases=[rng.standard_normal(o) for o in widths[1:]],
+        )
+        path = tmp_path / "model.tcd1"
+        nm.save_checkpoint(net, str(path))
+        loaded = nm.load_checkpoint(str(path))
+        x = rng.standard_normal((7, 4))
+        np.testing.assert_array_equal(nm.embed(loaded, x), nm.embed(net, x))
+
     def test_round_trip_bitwise(self, tmp_path):
         net = fresh_net(widths=(5, 9, 3), seed=16)
         path = tmp_path / "model.tcd1"

@@ -1,5 +1,6 @@
 """Training loop determinism, schedule plumbing, and the CSV log."""
 
+import csv
 import gc
 from dataclasses import replace
 
@@ -170,12 +171,13 @@ class TestLog:
         train.write_log(result.rows, str(path))
         first = path.read_text().splitlines()[0]
         assert first == "iteration,lambda,loss,mean_d_pos_euclid,mean_d_pos_topo,mean_d_neg,active_triplets"
-        back = train.read_log(str(path))
+        with open(path, newline="") as fh:
+            back = list(csv.DictReader(fh))
         assert len(back) == len(result.rows)
         for i, (row, rep) in enumerate(zip(back, result.rows)):
-            assert row["iteration"] == i
+            assert int(row["iteration"]) == i
             # repr-encoded floats survive the round trip exactly
-            assert row["loss"] == rep.loss
-            assert row["lambda"] == rep.lam
-            assert row["mean_d_neg"] == rep.mean_d_neg
-            assert row["active_triplets"] == rep.active_triplets
+            assert float(row["loss"]) == rep.loss
+            assert float(row["lambda"]) == rep.lam
+            assert float(row["mean_d_neg"]) == rep.mean_d_neg
+            assert int(row["active_triplets"]) == rep.active_triplets
