@@ -3,6 +3,8 @@
 Nodes are appended to the tape in creation order, which is a valid
 topological order, so the backward pass is a single deterministic reverse
 sweep. One tape lives for one training step and is dropped afterwards.
+A binary op computes a parent's gradient only when that parent is
+trainable, so constants cost nothing in the backward sweep.
 
 Kink conventions: |x| has subgradient 0 at x = 0, max(x, 0) passes gradient
 only where x > 0, sqrt passes gradient only where its argument is positive,
@@ -44,8 +46,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
+            if g.shape != self.value.shape:
+                g = np.broadcast_to(g, self.value.shape)
             # an owned copy: g may be a view shared with another node's gradient
-            self.grad = np.array(np.broadcast_to(g, self.value.shape), dtype=self.value.dtype)
+            self.grad = np.array(g, dtype=self.value.dtype)
         else:
             self.grad += g
 
@@ -116,8 +120,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     value = a.value + b.value
 
     def back(g):
-        a._accumulate(_unbroadcast(g, a.value.shape))
-        b._accumulate(_unbroadcast(g, b.value.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.value.shape))
 
     return node(a.tape or b.tape, value, (a, b), back)
 
@@ -126,8 +132,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     value = a.value - b.value
 
     def back(g):
-        a._accumulate(_unbroadcast(g, a.value.shape))
-        b._accumulate(_unbroadcast(-g, b.value.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.value.shape))
 
     return node(a.tape or b.tape, value, (a, b), back)
 
@@ -136,8 +144,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     value = a.value * b.value
 
     def back(g):
-        a._accumulate(_unbroadcast(g * b.value, a.value.shape))
-        b._accumulate(_unbroadcast(g * a.value, b.value.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.value, a.value.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.value, b.value.shape))
 
     return node(a.tape or b.tape, value, (a, b), back)
 
@@ -146,8 +156,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     value = a.value / b.value
 
     def back(g):
-        a._accumulate(_unbroadcast(g / b.value, a.value.shape))
-        b._accumulate(_unbroadcast(-g * value / b.value, b.value.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.value, a.value.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * value / b.value, b.value.shape))
 
     return node(a.tape or b.tape, value, (a, b), back)
 
@@ -156,8 +168,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     value = a.value @ b.value
 
     def back(g):
-        a._accumulate(_unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape))
-        b._accumulate(_unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape))
 
     return node(a.tape or b.tape, value, (a, b), back)
 
@@ -271,10 +285,13 @@ def scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.n
 def mirrored_gram(d: np.ndarray) -> np.ndarray:
     """S_i = D_i D_i^T for a stack of difference matrices (n, k, dim).
 
-    The lower triangle is mirrored so every S_i is bitwise symmetric.
+    The lower triangle is copied onto the upper in place, so every S_i is
+    bitwise symmetric.
     """
     full = d @ d.swapaxes(-1, -2)
-    return np.tril(full) + np.tril(full, -1).swapaxes(-1, -2)
+    iu, ju = np.triu_indices(full.shape[-1], 1)
+    full[..., iu, ju] = full[..., ju, iu]
+    return full
 
 
 def cholesky_failures(m: np.ndarray) -> np.ndarray:

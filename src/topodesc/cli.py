@@ -147,7 +147,7 @@ def cmd_train(args) -> int:
     dataset = datamod.read_dataset(cfg.dataset)
     training_split(cfg, dataset)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "config.txt"), "w") as fh:
+    with open(os.path.join(cfg.out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(config_text)
     try:
         result = run_training(cfg, dataset)

@@ -149,20 +149,25 @@ def parse_config_file(path: str) -> dict:
     """Read flat `key = value` lines; unknown keys fail.
 
     A `#` at the start of a line or after whitespace starts a comment; any
-    other `#` belongs to the value.
+    other `#` belongs to the value. The file is UTF-8 text, as
+    format_config writes it.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: config file is not UTF-8 text") from None
     values: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = _COMMENT.split(line, maxsplit=1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise InvalidInputError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _DEFAULTS:
-                raise InvalidInputError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, raw)
+    for lineno, line in enumerate(lines, start=1):
+        text = _COMMENT.split(line, maxsplit=1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise InvalidInputError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in _DEFAULTS:
+            raise InvalidInputError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _parse_value(key, raw)
     return values
 
 
@@ -192,17 +197,25 @@ def format_config(cfg: RunConfig) -> str:
 
     Raises InvalidArgumentError naming the field when a string value would
     not parse back to itself: one with a line break, leading or trailing
-    whitespace, or a `#` at its start or after whitespace.
+    whitespace, or a `#` at its start or after whitespace, or one that does
+    not encode as UTF-8 (a path holding bytes that are not UTF-8).
     """
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.name == "net_widths":
             value = ",".join(str(w) for w in value)
-        elif isinstance(value, str) and _UNREADABLE.search(value):
-            raise InvalidArgumentError(
-                f"{f.name} {value!r} would not read back from config.txt: it has a line "
-                "break, leading or trailing whitespace, or a '#' that starts a comment"
-            )
+        elif isinstance(value, str):
+            if _UNREADABLE.search(value):
+                raise InvalidArgumentError(
+                    f"{f.name} {value!r} would not read back from config.txt: it has a line "
+                    "break, leading or trailing whitespace, or a '#' that starts a comment"
+                )
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InvalidArgumentError(
+                    f"{f.name} {value!r} would not read back from config.txt: it is not UTF-8"
+                ) from None
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

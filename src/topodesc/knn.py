@@ -1,10 +1,13 @@
 """Batch pairwise distances over unit descriptors and exact top-k selection.
 
 Distances use the dot-product identity d(x, y) = sqrt(2 - 2 x.y), valid for
-unit-length rows. Selection is exact: a whole-matrix partial selection of the
-k smallest per row, ordered by (distance, index), with any row whose k-th
-distance is shared by an entry left outside re-sorted in full. Batches stay
-small enough that the O(n^2 D) distance matrix is fine.
+unit-length rows; one product and one in-place conversion serve both entry
+points. Selection is exact and runs on the raw product, since the distance
+only ever grows as the dot product falls: a whole-matrix partial selection
+of the k nearest per row, ordered by (distance, index), converts only the
+k candidates and the (k+1)-th nearest to distances, and any row whose k-th
+distance is shared by an entry left outside is re-sorted in full. Batches
+stay small enough that the O(n^2 D) product is fine.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ def _check_unit_rows(x: np.ndarray, name: str) -> None:
         )
 
 
-def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """All-pairs Euclidean distances between rows of two unit-row matrices.
+def _unit_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (n, m) dot products x_i.y_j of two validated unit-row matrices.
 
-    Entry (i, j) is sqrt(2 - 2 x_i.y_j); dot products are clamped to [-1, 1]
-    first, so 2 - 2 x_i.y_j is exactly >= 0 and rounding cannot produce NaN.
     Passing the same array twice validates it once and computes the same
-    general product as two distinct arrays would; that product is bitwise
-    symmetric only where the row count fills whole BLAS tiles.
+    general product as two distinct arrays would: x @ x.T would take numpy's
+    symmetric-product route, slower than the general one, so a copy of x
+    stands in for y. That product is bitwise symmetric only where the row
+    count fills whole BLAS tiles.
     """
     same = y is x
     x = np.asarray(x, dtype=np.float64)
@@ -49,42 +52,63 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if not np.isfinite(y).all():
             raise InvalidInputError("second descriptor set contains non-finite entries")
         _check_unit_rows(y, "second set")
-    # In place on the one (n, m) product; 2 + (-2 d) rounds exactly like 2 - 2 d.
-    # x @ x.T would take numpy's symmetric-product route, slower than the
-    # general one that two distinct arrays take; a copy of x takes that one.
-    d = x @ (x.copy() if same else y).T
-    np.clip(d, -1.0, 1.0, out=d)
-    d *= -2.0
-    d += 2.0
-    return np.sqrt(d, out=d)
+    return x @ (x.copy() if same else y).T
+
+
+def _to_distance(g: np.ndarray) -> np.ndarray:
+    """sqrt(2 - 2 g) of dot products g, in place; 2 + (-2 g) rounds exactly like 2 - 2 g."""
+    np.clip(g, -1.0, 1.0, out=g)
+    g *= -2.0
+    g += 2.0
+    return np.sqrt(g, out=g)
+
+
+def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """All-pairs Euclidean distances between rows of two unit-row matrices.
+
+    Entry (i, j) is sqrt(2 - 2 x_i.y_j); dot products are clamped to [-1, 1]
+    first, so 2 - 2 x_i.y_j is exactly >= 0 and rounding cannot produce NaN.
+    """
+    return _to_distance(_unit_product(x, y))
 
 
 def neighbor_index_matrix(x: np.ndarray, k: int) -> np.ndarray:
     """(n, k) indices of the k nearest other rows of x, nearest first.
 
     Self-matches are excluded; equal computed distances resolve to the lower
-    index, exactly as a full stable sort of each row would, so repeated runs
-    and reference sorts agree. Ties are ties of the computed distances:
-    duplicated descriptors need not get bitwise equal distances, because
-    BLAS may form x_i.x_j with different kernels across its tiles.
+    index, exactly as a full stable sort of each row of pairwise_distances(x, x)
+    would, so repeated runs and reference sorts agree. Ties are ties of the
+    computed distances: duplicated descriptors need not get bitwise equal
+    distances, because BLAS may form x_i.x_j with different kernels across
+    its tiles.
 
-    One argpartition picks k candidates per row, which are put in
-    (distance, index) order. A row with more than k entries at or below its
-    k-th distance may have had a run of equal distances cut by the
-    partition; only such rows are re-sorted in full.
+    Selection runs on the negated dot products, with the diagonal at +inf:
+    the distance is a non-decreasing function of them in floating point too.
+    One argpartition puts k candidates per row first and the (k+1)-th
+    nearest in column k; only those k + 1 entries become distances. The
+    candidates are put in (distance, index) order. A row whose (k+1)-th
+    distance is at or below its k-th may have had a run of equal distances
+    cut by the partition; only such rows are re-sorted in full.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if not 1 <= k <= n - 1:
         raise InvalidArgumentError(f"k must be in [1, n-1] = [1, {n - 1}], got {k}")
-    dist = pairwise_distances(x, x)
-    np.fill_diagonal(dist, np.inf)
-    cand = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    cand.sort(axis=1)
-    cand_d = np.take_along_axis(dist, cand, axis=1)
-    order = np.argsort(cand_d, axis=1, kind="stable")
-    idx = np.take_along_axis(cand, order, axis=1)
-    cut = np.count_nonzero(dist <= cand_d.max(axis=1, keepdims=True), axis=1) > k
-    if cut.any():
-        idx[cut] = np.argsort(dist[cut], axis=1, kind="stable")[:, :k]
+    g = _unit_product(x, x)
+    np.negative(g, out=g)
+    np.fill_diagonal(g, np.inf)
+    part = np.argpartition(g, k, axis=1)[:, : k + 1]
+    part[:, :k].sort(axis=1)
+    dist = np.take_along_axis(g, part, axis=1)
+    dist = _to_distance(np.negative(dist, out=dist))
+    # with k = n - 1 the (k+1)-th entry is the row itself, at +inf, which cuts no run
+    dist[part[:, k] == np.arange(n), k] = np.inf
+    order = np.argsort(dist[:, :k], axis=1, kind="stable")
+    idx = np.take_along_axis(part[:, :k], order, axis=1)
+    cut = np.flatnonzero(dist[:, k] <= dist[:, :k].max(axis=1))
+    if cut.size:
+        full = g[cut]
+        full = _to_distance(np.negative(full, out=full))
+        full[np.arange(cut.size), cut] = np.inf
+        idx[cut] = np.argsort(full, axis=1, kind="stable")[:, :k]
     return idx

@@ -92,18 +92,20 @@ def hardest_negatives(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cross[i, j] is the distance between anchor i and positive j. Anchor i's
     negative is the smallest off-diagonal entry in row i or column i. Ties
     break toward the anchor's own row, then the lower index.
+
+    The diagonal of cross is overwritten with +inf to mask the matched
+    pairs; no other entry changes.
     """
     n = cross.shape[0]
     if n < 2:
         raise InvalidBatchError(f"need a batch of >= 2 to mine negatives, got {n}")
-    masked = cross.copy()
-    np.fill_diagonal(masked, np.inf)
-    row_j = np.argmin(masked, axis=1)
+    np.fill_diagonal(cross, np.inf)
+    row_j = np.argmin(cross, axis=1)
     # argmin down the columns of a C-order matrix is slow; the first row
     # holding the column min is the same index
-    col_m = np.argmax(masked == masked.min(axis=0), axis=0)
+    col_m = np.argmax(cross == cross.min(axis=0), axis=0)
     rows = np.arange(n)
-    use_row = masked[rows, row_j] <= masked[col_m, rows]
+    use_row = cross[rows, row_j] <= cross[col_m, rows]
     return np.where(use_row, rows, col_m), np.where(use_row, row_j, rows)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process via cli.main."""
 
 import csv
+import os
 import re
 import struct
 from dataclasses import fields
@@ -329,6 +330,23 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith(f"error: {field} "), err
         written = [p.name for p in tmp_path.iterdir()]
         assert written == (["my data #1.tcpd"] if field == "dataset" else [])
+
+    @pytest.mark.parametrize("field", ["dataset", "out_dir"])
+    def test_path_that_is_not_utf8_exits_2(self, field, workspace, tmp_path, monkeypatch, capsys):
+        # argv carries the byte 0xff surrogate-escaped, as the OS hands it over
+        monkeypatch.chdir(tmp_path)
+        dataset, out_dir = workspace["noisy"], "o"
+        if field == "dataset":
+            dataset = tmp_path / os.fsdecode(b"data\xff.tcpd")
+            dataset.write_bytes(workspace["noisy"].read_bytes())
+        else:
+            out_dir = os.fsdecode(b"bad\xff")
+        code = cli.main(["train", "--dataset", str(dataset), "--out-dir", out_dir] + TRAIN_FLAGS)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} "), err
+        written = [p.name for p in tmp_path.iterdir()]
+        assert written == ([dataset.name] if field == "dataset" else [])
 
     def test_config_echo_reproduces_the_run(self, workspace, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"

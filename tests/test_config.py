@@ -60,6 +60,12 @@ class TestRunConfig:
 
 
 class TestConfigFile:
+    def test_file_that_is_not_utf8_is_input_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"k = 3\ndataset = a\xffb\n")
+        with pytest.raises(InvalidInputError, match="not UTF-8"):
+            C.parse_config_file(str(path))
+
     def test_parse_with_comments_and_blanks(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -202,6 +208,7 @@ class TestFormat:
             ("out_dir", "run\n0"),
             ("dataset", "d\r.tcpd"),
             ("lambda_mode", "fixed:0.5 "),
+            ("out_dir", "bad\udcff"),  # the byte 0xff of a path, surrogate-escaped
         ],
         ids=[
             "hash-after-space",
@@ -211,6 +218,7 @@ class TestFormat:
             "newline",
             "carriage-return",
             "trailing-space",
+            "not-utf8",
         ],
     )
     def test_value_that_would_not_read_back_is_rejected(self, field, value):
@@ -219,11 +227,11 @@ class TestFormat:
 
     @pytest.mark.parametrize(
         "value",
-        ["my data.tcpd", "data#1.tcpd", "a = b", "run 0#x"],
-        ids=["inner-space", "inner-hash", "equals-sign", "hash-after-digit"],
+        ["my data.tcpd", "data#1.tcpd", "a = b", "run 0#x", "données/é.tcpd"],
+        ids=["inner-space", "inner-hash", "equals-sign", "hash-after-digit", "non-ascii"],
     )
     def test_inner_space_and_hash_round_trip(self, value, tmp_path):
         cfg = C.RunConfig(dataset=value, out_dir=value)
         path = tmp_path / "echo.cfg"
-        path.write_text(C.format_config(cfg))
+        path.write_text(C.format_config(cfg), encoding="utf-8")
         assert C.resolve_config(file_values=C.parse_config_file(str(path))) == cfg

@@ -15,14 +15,21 @@ def unit_rows(rng, n, d):
 
 
 def topk_bruteforce(x, k):
-    """Full distance matrix, full sort, lowest-index tie-break."""
+    """Difference norms per row, full sort, lowest-index tie-break, self removed."""
     n = x.shape[0]
     out = []
     for i in range(n):
-        d = np.array([np.linalg.norm(x[i] - x[j]) for j in range(n)])
-        order = [j for j in sorted(range(n), key=lambda j: (d[j], j)) if j != i]
-        out.append(np.array(order[:k]))
+        d = np.sqrt(((x[i] - x) ** 2).sum(axis=1))
+        order = np.lexsort((np.arange(n), d))
+        out.append(order[order != i][:k])
     return out
+
+
+def stable_sorted_neighbors(x):
+    """Every row of pairwise_distances(x, x), diagonal at +inf, in full stable order."""
+    dist = knn.pairwise_distances(x, x)
+    np.fill_diagonal(dist, np.inf)
+    return dist, np.argsort(dist, axis=1, kind="stable")
 
 
 class TestPairwiseDistances:
@@ -138,6 +145,49 @@ class TestTopKWithin:
         for i in range(10):
             d = dist[i, idx[i]]
             assert np.all(np.diff(d) >= 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        dim=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_boundary_inside_tie_runs(self, seed, n, dim, data):
+        """The (k+1)-th nearest ties the k-th, or is the row itself (k = n - 1).
+
+        Rounded and duplicated rows in 1-3 dimensions make long runs of equal
+        distances; k is drawn so that one row's partition boundary falls
+        inside such a run, which forces that row through the full re-sort.
+        """
+        rng = np.random.default_rng(seed)
+        x = np.round(unit_rows(rng, n, dim), 1)
+        x /= np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+        x[rng.integers(0, n, n // 2)] = x[rng.integers(0, n, n // 2)]
+        dist, want = stable_sorted_neighbors(x)
+        i = data.draw(st.integers(0, n - 1))
+        srt = dist[i, want[i]]
+        # sorted position p holds the (p+1)-th nearest; k = p cuts a run there
+        inside_run = np.flatnonzero(srt[1 : n - 1] == srt[: n - 2]) + 1
+        k = data.draw(st.sampled_from([int(p) for p in inside_run] + [n - 1]))
+        np.testing.assert_array_equal(knn.neighbor_index_matrix(x, k), want[:, :k])
+
+    @pytest.mark.parametrize(
+        "x, match",
+        [
+            (np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 0.0]]), "non-finite"),
+            (np.array([[1.0, 0.0], [0.0, 1.5], [1.0, 0.0]]), "row 1 is not unit length"),
+            (np.array([1.0, 1.0, 1.0]), "must be 2-d"),
+            (np.ones((3, 1, 1)), "must be 2-d"),
+        ],
+        ids=["non-finite", "non-unit", "1-d", "3-d"],
+    )
+    def test_rejects_what_pairwise_distances_rejects(self, x, match):
+        with pytest.raises(InvalidInputError, match=match) as own:
+            knn.neighbor_index_matrix(x, 1)
+        with pytest.raises(InvalidInputError) as shared:
+            knn.pairwise_distances(x, x)
+        assert str(own.value) == str(shared.value)
 
     def test_k_out_of_range(self):
         x = np.eye(4)

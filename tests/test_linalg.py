@@ -84,6 +84,19 @@ class TestGram:
             assert np.array_equal(s, s.T)
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_mirror_matches_triangle_sum_bitwise(self, dtype):
+        """The triangle-sum mirror that mirrored_gram replaced is its oracle."""
+        rng = np.random.default_rng(13)
+        for n, k, dim in ((1, 1, 1), (5, 3, 2), (64, 8, 16), (300, 20, 32)):
+            d = rng.standard_normal((n, k, dim)).astype(dtype)
+            full = d @ d.swapaxes(-1, -2)
+            want = np.tril(full) + np.tril(full, -1).swapaxes(-1, -2)
+            got = ad.mirrored_gram(d)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 class TestRegularizedSystem:
     def test_trace_relative_term(self, monkeypatch):
         # S = diag(2, 6)

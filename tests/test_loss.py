@@ -130,11 +130,26 @@ class TestHardestNegative:
         with pytest.raises(InvalidBatchError):
             L.hardest_negatives(np.zeros((1, 1)))
 
+    def test_overwrites_only_the_diagonal(self):
+        rng = np.random.default_rng(7)
+        cross = rng.uniform(0.1, 2.0, (9, 9))
+        before = cross.copy()
+        L.hardest_negatives(cross)
+        assert np.all(cross.diagonal() == np.inf)
+        off = ~np.eye(9, dtype=bool)
+        assert cross[off].tobytes() == before[off].tobytes()
+
     def test_column_tie_runs_match_argmin(self):
-        # few distinct values: most columns hold their min several times
+        """The miner that masked a copy of its argument is the oracle.
+
+        With few distinct values most columns hold their min several times;
+        distinct values run up to the paper's batch size.
+        """
         rng = np.random.default_rng(5)
-        for n in (2, 3, 17, 256):
-            cross = rng.integers(0, 4, size=(n, n)).astype(float)
+        few = [rng.integers(0, 4, size=(n, n)).astype(float) for n in (2, 3, 17, 256)]
+        distinct = [rng.uniform(0.1, 2.0, size=(n, n)) for n in (2, 17, 1024)]
+        for cross in few + distinct:
+            n = cross.shape[0]
             masked = cross.copy()
             np.fill_diagonal(masked, np.inf)
             row_j = np.argmin(masked, axis=1)
