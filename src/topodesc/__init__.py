@@ -18,12 +18,7 @@ from .errors import (
 )
 from .gradcheck import GradCheckReport, grad_check
 from .knn import pairwise_distances
-from .loss import (
-    LossConfig,
-    LossReport,
-    batch_loss,
-    lambda_schedule,
-)
+from .loss import LossReport, batch_loss, lambda_schedule
 from .metrics import MetricReport, fpr95, retrieval_map, verification_pairs
 from .net import EmbeddingNet, embed, init_net, load_checkpoint, save_checkpoint, sgd_step
 from .topology import batch_topology_vectors, topology_distance
@@ -50,7 +45,6 @@ __all__ = [
     "GradCheckReport",
     "grad_check",
     "pairwise_distances",
-    "LossConfig",
     "LossReport",
     "batch_loss",
     "lambda_schedule",

@@ -21,6 +21,8 @@ from . import metrics
 from . import loss as lossmod
 from . import net as netmod
 from .config import (
+    GRADIENT_MODES,
+    PRECISIONS,
     PRESETS,
     RunConfig,
     format_config,
@@ -81,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--lambda-N", type=int, default=None)
     tr.add_argument("--lambda-r", type=float, default=None)
     tr.add_argument("--lambda-floor", type=float, default=None)
-    tr.add_argument("--precision", choices=("double", "single"), default=None)
+    tr.add_argument("--precision", choices=PRECISIONS, default=None)
     tr.add_argument(
-        "--topology", choices=lossmod.GRADIENT_MODES, default=None, dest="topology_gradient_mode"
+        "--topology", choices=GRADIENT_MODES, default=None, dest="topology_gradient_mode"
     )
     tr.add_argument("--lambda-mode", default=None, help="dynamic or fixed:<value in [0,1]>")
     tr.set_defaults(func=cmd_train)
@@ -109,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc = sub.add_parser("gradcheck", help="finite-difference check of the loss gradient")
     gc.add_argument("--seed", type=int, default=None)
     gc.add_argument("--tol", type=float, default=1e-4)
-    gc.add_argument("--mode", choices=lossmod.GRADIENT_MODES[:2], default="through-weights")
+    gc.add_argument("--mode", choices=GRADIENT_MODES[:2], default="through-weights")
     gc.add_argument("--lam", type=float, default=0.5)
     gc.add_argument("--step", type=float, default=1e-5)
     gc.set_defaults(func=cmd_gradcheck)
@@ -212,7 +214,7 @@ def cmd_inspect(args) -> int:
     desc_p = netmod.embed(net, batch_p)
     # The loss's own graph on constants gives the supports, weights, d_E and
     # d_T; none of them depends on lambda, so it is 1 as at iteration 0.
-    cfg = lossmod.LossConfig(k=args.k)
+    cfg = RunConfig(k=args.k)
     structure = lossmod.select_structure(desc_a, desc_p, cfg)
     tape = ad.Tape()
     graph = lossmod.build_loss_graph(
@@ -250,7 +252,7 @@ def cmd_gradcheck(args) -> int:
     net = netmod.init_net((8, 8, 4), rng, dtype=np.float64)
     patches_a = rng.standard_normal((6, 8))
     patches_p = rng.standard_normal((6, 8))
-    cfg = lossmod.LossConfig(k=2, topology_gradient_mode=args.mode)
+    cfg = RunConfig(k=2, topology_gradient_mode=args.mode)
     report = grad_check(net, patches_a, patches_p, cfg, args.lam, step=args.step)
     print(f"max_relative_error = {report.max_relative_error!r}")
     print(f"worst_parameter = {report.worst_parameter}")

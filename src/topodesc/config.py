@@ -18,23 +18,32 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidInputError
-from .loss import LossConfig
 
 SEED_ENV_VAR = "TCDESC_SEED"
 PRECISIONS = ("double", "single")
+GRADIENT_MODES = ("through-weights", "detached", "off")
 
 
 @dataclass(frozen=True)
-class RunConfig(LossConfig):
+class RunConfig:
     """Everything a training run needs, resolvable from preset/file/flags.
 
-    LossConfig's fields come first, with desk defaults for k and the
-    schedule. lambda_mode is "dynamic" (the schedule) or "fixed:<value>".
+    The defaults are the desk preset's. lambda_n0 is the iteration where
+    the lambda schedule starts decaying, lambda_N the decay interval,
+    lambda_r the per-interval decrement, and lambda_floor the smallest
+    blend value; lambda_mode is "dynamic" (the schedule) or
+    "fixed:<value>". topology_gradient_mode selects whether gradients flow
+    through the affine fit ("through-weights"), treat the fitted weights as
+    constants ("detached"), or skip the topology term entirely ("off").
     """
 
+    margin: float = 1.0
     k: int = 8
     lambda_n0: int = 500
     lambda_N: int = 100
+    lambda_r: float = 0.025
+    lambda_floor: float = 0.5
+    topology_gradient_mode: str = "through-weights"
     net_widths: tuple[int, ...] = (16, 64, 64, 32)
     batch_size: int = 64
     iterations: int = 2000
@@ -47,7 +56,23 @@ class RunConfig(LossConfig):
     lambda_mode: str = "dynamic"
 
     def __post_init__(self):
-        super().__post_init__()
+        if not 0 < self.margin < np.inf:
+            raise InvalidArgumentError(f"margin must be positive and finite, got {self.margin}")
+        if self.k < 1:
+            raise InvalidArgumentError(f"k must be >= 1, got {self.k}")
+        if self.lambda_n0 < 0 or self.lambda_N < 1:
+            raise InvalidArgumentError(
+                f"schedule needs lambda_n0 >= 0 and lambda_N >= 1, got {self.lambda_n0}, {self.lambda_N}"
+            )
+        if not 0 < self.lambda_r < np.inf:
+            raise InvalidArgumentError(f"lambda_r must be positive and finite, got {self.lambda_r}")
+        if not 0 < self.lambda_floor <= 1:
+            raise InvalidArgumentError(f"lambda_floor must be in (0, 1], got {self.lambda_floor}")
+        if self.topology_gradient_mode not in GRADIENT_MODES:
+            raise InvalidArgumentError(
+                f"topology_gradient_mode must be one of {GRADIENT_MODES}, "
+                f"got {self.topology_gradient_mode!r}"
+            )
         if len(self.net_widths) < 2 or any(w < 1 for w in self.net_widths):
             raise InvalidArgumentError(f"net_widths needs >= 2 positive entries, got {self.net_widths}")
         if self.batch_size < 2:

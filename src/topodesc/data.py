@@ -178,9 +178,12 @@ def subset(ds: DatasetFile, indices: np.ndarray) -> DatasetFile:
 def split_train_heldout(ds: DatasetFile) -> tuple[DatasetFile, DatasetFile]:
     """Leading (1 - HOLDOUT_FRACTION) of scenes for training, trailing block held out.
 
-    Both halves keep at least one scene so a split never silently empties.
+    Both halves keep at least one scene so a split never silently empties;
+    fewer than 2 scenes raise InvalidArgumentError.
     """
     n = ds.scene_count
+    if n < 2:
+        raise InvalidArgumentError(f"need at least 2 scenes to split off a held-out set, got {n}")
     cut = int(round(n * (1.0 - HOLDOUT_FRACTION)))
     cut = min(max(cut, 1), n - 1)
     return subset(ds, np.arange(cut)), subset(ds, np.arange(cut, n))

@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import loss as lossmod
 from . import net as netmod
+from .config import RunConfig
 from .errors import InvalidArgumentError
 
 
@@ -44,7 +45,7 @@ def grad_check(
     net: netmod.EmbeddingNet,
     patches_a: np.ndarray,
     patches_p: np.ndarray,
-    cfg: lossmod.LossConfig,
+    cfg: RunConfig,
     lam: float,
     step: float = 1e-5,
     max_params: int = 1000,

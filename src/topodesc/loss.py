@@ -14,50 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import knn, topology
+from .config import RunConfig
 from .errors import InvalidArgumentError, InvalidBatchError
-
-GRADIENT_MODES = ("through-weights", "detached", "off")
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Margin, neighborhood size, schedule constants, and gradient routing.
-
-    lambda_n0 is the sample count where the schedule starts decaying,
-    lambda_N the decay interval, lambda_r the per-interval decrement, and
-    lambda_floor the smallest blend value. topology_gradient_mode selects
-    whether gradients flow through the affine fit ("through-weights"), treat
-    the fitted weights as constants ("detached"), or skip the topology term
-    entirely ("off").
-    """
-
-    margin: float = 1.0
-    k: int = 20
-    lambda_n0: int = 50_000
-    lambda_N: int = 10_000
-    lambda_r: float = 0.025
-    lambda_floor: float = 0.5
-    topology_gradient_mode: str = "through-weights"
-
-    def __post_init__(self):
-        if not 0 < self.margin < np.inf:
-            raise InvalidArgumentError(f"margin must be positive and finite, got {self.margin}")
-        if self.k < 1:
-            raise InvalidArgumentError(f"k must be >= 1, got {self.k}")
-        if self.lambda_n0 < 0 or self.lambda_N < 1:
-            raise InvalidArgumentError(
-                f"schedule needs lambda_n0 >= 0 and lambda_N >= 1, got {self.lambda_n0}, {self.lambda_N}"
-            )
-        if not 0 < self.lambda_r < np.inf:
-            raise InvalidArgumentError(f"lambda_r must be positive and finite, got {self.lambda_r}")
-        if not 0 < self.lambda_floor <= 1:
-            raise InvalidArgumentError(f"lambda_floor must be in (0, 1], got {self.lambda_floor}")
-        if self.topology_gradient_mode not in GRADIENT_MODES:
-            raise InvalidArgumentError(
-                f"topology_gradient_mode must be one of {GRADIENT_MODES}, "
-                f"got {self.topology_gradient_mode!r}"
-            )
-
 
 @dataclass(frozen=True)
 class LossReport:
@@ -71,7 +29,7 @@ class LossReport:
     active_triplets: int
 
 
-def lambda_schedule(iteration: int, cfg: LossConfig) -> float:
+def lambda_schedule(iteration: int, cfg: RunConfig) -> float:
     """Piecewise-constant decay from 1.0 toward the floor.
 
     The blend stays at 1.0 for the first lambda_n0 iterations, then loses
@@ -84,6 +42,15 @@ def lambda_schedule(iteration: int, cfg: LossConfig) -> float:
     over = max(0, int(iteration) - int(cfg.lambda_n0))
     steps = -(-over // int(cfg.lambda_N))
     return max(1.0 - steps * cfg.lambda_r, cfg.lambda_floor)
+
+
+def resolve_lambda(iteration: int, cfg: RunConfig) -> float:
+    """The blend value of cfg.lambda_mode at this iteration; 1.0 when topology is off."""
+    if cfg.topology_gradient_mode == "off":
+        return 1.0
+    if cfg.lambda_mode == "dynamic":
+        return lambda_schedule(iteration, cfg)
+    return cfg.fixed_lambda()
 
 
 def hardest_negatives(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +117,7 @@ def _union_gathers(idx_a: np.ndarray, idx_p: np.ndarray, n: int, dtype) -> tuple
     return gather_a, gather_p
 
 
-def select_structure(va: np.ndarray, vp: np.ndarray, cfg: LossConfig) -> LossStructure:
+def select_structure(va: np.ndarray, vp: np.ndarray, cfg: RunConfig) -> LossStructure:
     """Run the discrete parts of the loss: kNN supports and negative mining.
 
     These selections are treated as constant during differentiation; the
@@ -207,7 +174,7 @@ def build_loss_graph(
     desc_a: ad.Tensor,
     desc_p: ad.Tensor,
     lam: float,
-    cfg: LossConfig,
+    cfg: RunConfig,
     structure: LossStructure,
     tape: ad.Tape,
 ) -> LossGraph:
@@ -270,15 +237,15 @@ def batch_loss(
     va: np.ndarray,
     vp: np.ndarray,
     iteration: int,
-    cfg: LossConfig,
+    cfg: RunConfig,
 ) -> LossReport:
     """Loss and diagnostics for fixed descriptor arrays (no training state).
 
-    lambda follows the schedule at iteration (1 in "off" mode), and the
+    lambda is the one training uses at iteration (resolve_lambda), and the
     affine weights are fitted with topology.DEFAULT_EPS. Nothing is
     differentiated, so "through-weights" and "detached" report the same loss.
     """
-    lam = 1.0 if cfg.topology_gradient_mode == "off" else lambda_schedule(iteration, cfg)
+    lam = resolve_lambda(iteration, cfg)
     structure = select_structure(va, vp, cfg)
     tape = ad.Tape()
     graph = build_loss_graph(

@@ -15,15 +15,22 @@ CHECKPOINT_MAGIC = b"TCD1"
 
 @dataclass
 class EmbeddingNet:
-    """Layer widths and per-layer weights (out, in) and biases.
+    """Per-layer weights (out, in) and biases.
 
     Hidden layers use tanh; the final layer is linear and its output is
     L2-normalized row-wise, so descriptors always live on the unit sphere.
     """
 
-    widths: tuple[int, ...]
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
+
+    @property
+    def widths(self) -> tuple[int, ...]:
+        """Layer widths, read off the weight shapes: the input width, then each layer's output."""
+        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
+
+    def __repr__(self) -> str:
+        return f"EmbeddingNet(widths={self.widths})"
 
     @property
     def activations(self) -> tuple[str, ...]:
@@ -53,7 +60,7 @@ def init_net(widths, rng: np.random.Generator, dtype=np.float64) -> EmbeddingNet
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype))
         biases.append(rng.uniform(-bound, bound, size=fan_out).astype(dtype))
-    return EmbeddingNet(widths=widths, weights=weights, biases=biases)
+    return EmbeddingNet(weights=weights, biases=biases)
 
 
 def parameters(net: EmbeddingNet) -> dict[str, np.ndarray]:
@@ -166,7 +173,7 @@ def save_checkpoint(net: EmbeddingNet, path: str) -> None:
         fh.write(bytes(blob))
 
 
-def load_checkpoint(path: str, dtype=np.float64) -> EmbeddingNet:
+def load_checkpoint(path: str) -> EmbeddingNet:
     """Read a checkpoint, validating magic, widths, and exact payload length."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -193,22 +200,21 @@ def load_checkpoint(path: str, dtype=np.float64) -> EmbeddingNet:
                 f"checkpoint truncated at offset {len(blob)}: layer needs {offset + wbytes + bbytes} bytes"
             )
         w = np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        weights.append(w.reshape(fan_out, fan_in).astype(dtype))
+        weights.append(w.reshape(fan_out, fan_in).astype(np.float64))
         offset += wbytes
         b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
-        biases.append(b.astype(dtype))
+        biases.append(b.astype(np.float64))
         offset += bbytes
     if offset != len(blob):
         raise DatasetFormatError(f"unexpected trailing bytes at offset {offset}")
     bad = ~np.isfinite(np.frombuffer(blob, dtype="<f8", offset=need))
     if bad.any():
         raise DatasetFormatError(f"non-finite parameter at offset {need + 8 * int(np.argmax(bad))}")
-    return EmbeddingNet(widths=tuple(widths), weights=weights, biases=biases)
+    return EmbeddingNet(weights=weights, biases=biases)
 
 
 def cast_net(net: EmbeddingNet, dtype) -> EmbeddingNet:
     return EmbeddingNet(
-        widths=net.widths,
         weights=[w.astype(dtype) for w in net.weights],
         biases=[b.astype(dtype) for b in net.biases],
     )

@@ -54,15 +54,6 @@ def learning_rate(iteration: int, cfg: RunConfig) -> float:
     return cfg.lr_start + (cfg.lr_end - cfg.lr_start) * frac
 
 
-def resolve_lambda(iteration: int, cfg: RunConfig) -> float:
-    """The blend value of cfg.lambda_mode at this iteration; 1.0 when topology is off."""
-    if cfg.topology_gradient_mode == "off":
-        return 1.0
-    if cfg.lambda_mode == "dynamic":
-        return lossmod.lambda_schedule(iteration, cfg)
-    return cfg.fixed_lambda()
-
-
 def training_split(cfg: RunConfig, dataset: datamod.DatasetFile) -> datamod.DatasetFile:
     """The dataset's training split, once cfg fits it.
 
@@ -80,7 +71,7 @@ def training_split(cfg: RunConfig, dataset: datamod.DatasetFile) -> datamod.Data
     return train_ds
 
 
-def run_training(cfg: RunConfig, dataset: datamod.DatasetFile | None = None) -> TrainResult:
+def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
     """Train a fresh net on the training split of the dataset.
 
     Fully deterministic for a fixed cfg: initialization and batch sampling
@@ -88,8 +79,6 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile | None = None) -> 
     TrainingDivergenceError the first time descriptors or the loss stop
     being finite.
     """
-    if dataset is None:
-        dataset = datamod.read_dataset(cfg.dataset)
     train_ds = training_split(cfg, dataset)
     init_seed, sample_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     net = netmod.init_net(cfg.net_widths, np.random.default_rng(init_seed), dtype=cfg.dtype())
@@ -99,7 +88,7 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile | None = None) -> 
 
     for i in range(cfg.iterations):
         _, batch_a, batch_p = datamod.sample_batch(train_ds, cfg.batch_size, sample_rng)
-        lam = resolve_lambda(i, cfg)
+        lam = lossmod.resolve_lambda(i, cfg)
         tape = ad.Tape()
         try:
             leaves = netmod.make_leaves(net, tape)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topodesc import cli, data, knn, metrics, topology, train
-from topodesc.config import RunConfig
-from topodesc.loss import LossConfig, lambda_schedule
+from topodesc.config import RunConfig, resolve_config
+from topodesc.loss import lambda_schedule
 from topodesc.net import embed, init_net
 
 from single_fit import fit_one
@@ -155,7 +155,7 @@ def test_criterion_3_gradcheck_passes_in_all_modes(capsys):
 
 
 def test_criterion_4_blend_schedule_values():
-    cfg = LossConfig()
+    cfg = resolve_config("paper")
     assert abs(lambda_schedule(0, cfg) - 1.0) <= 1e-12
     assert abs(lambda_schedule(50_000, cfg) - 1.0) <= 1e-12
     assert abs(lambda_schedule(60_000, cfg) - 0.975) <= 1e-12

@@ -34,6 +34,9 @@ REMOVED = [
     (topology, "LleWeights"),
     (net.EmbeddingNet, "parameter_count"),
     (train, "read_log"),
+    (topodesc, "LossConfig"),
+    (loss, "LossConfig"),
+    (train, "resolve_lambda"),
     *[(autodiff.Tensor, op) for op in TENSOR_OPERATORS],
 ]
 
@@ -46,8 +49,11 @@ def test_all_exports_import_and_removed_names_are_gone():
     assert len(set(topodesc.__all__)) == len(topodesc.__all__)
     lingering = [f"{owner.__name__}.{name}" for owner, name in REMOVED if hasattr(owner, name)]
     assert not lingering, lingering
-    # activation tags are derived from the layer count, not stored
-    assert "activations" not in {f.name for f in fields(net.EmbeddingNet)}
+    # activation tags and layer widths are derived from the weights, not stored
+    assert {"activations", "widths"}.isdisjoint(f.name for f in fields(net.EmbeddingNet))
+    assert "dtype" not in inspect.signature(net.load_checkpoint).parameters
+    dataset = inspect.signature(train.run_training).parameters["dataset"]
+    assert dataset.default is inspect.Parameter.empty
     assert "fraction" not in inspect.signature(data.split_train_heldout).parameters
     leaves = inspect.signature(net.forward).parameters["leaves"]
     assert leaves.default is inspect.Parameter.empty

@@ -14,6 +14,7 @@ from topodesc import cli, data, knn
 from topodesc import loss as lossmod
 from topodesc import net as netmod
 from topodesc.config import RunConfig, parse_config_file, resolve_config
+from topodesc.errors import InvalidArgumentError
 
 
 @pytest.fixture(scope="module")
@@ -581,7 +582,7 @@ class TestInspect:
         ds = data.read_dataset(str(workspace["noisy"]))
         _, batch_a, batch_p = data.sample_batch(ds, 12, np.random.default_rng(4))
         desc_a, desc_p = netmod.embed(net, batch_a), netmod.embed(net, batch_p)
-        cfg = lossmod.LossConfig(k=3)
+        cfg = RunConfig(k=3)
         structure = lossmod.select_structure(desc_a, desc_p, cfg)
         tape = ad.Tape()
         graph = lossmod.build_loss_graph(
@@ -736,6 +737,58 @@ def test_bad_argument_exits_2_with_one_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "o").exists()  # nothing written before the argument was rejected
+
+
+@pytest.mark.parametrize(
+    "flags, values",
+    [
+        (["--margin", "0"], {"margin": 0.0}),
+        (["--k", "0"], {"k": 0}),
+        (["--lambda-n0", "-1"], {"lambda_n0": -1}),
+        (["--lambda-N", "0"], {"lambda_N": 0}),
+        (["--lambda-r", "0"], {"lambda_r": 0.0}),
+        (["--lambda-floor", "0"], {"lambda_floor": 0.0}),
+        (["--lambda-floor", "1.5"], {"lambda_floor": 1.5}),
+        (["--config", "{bad_topology}"], {"topology_gradient_mode": "sometimes"}),
+    ],
+    ids=[
+        "margin",
+        "k",
+        "lambda-n0",
+        "lambda-N",
+        "lambda-r",
+        "lambda-floor-0",
+        "lambda-floor-1.5",
+        "config-topology",
+    ],
+)
+def test_train_flag_fails_the_run_config_check(flags, values, workspace, tmp_path, capsys):
+    with pytest.raises(InvalidArgumentError) as info:
+        RunConfig(**values)
+    cfg_file = tmp_path / "bad_topology.cfg"
+    cfg_file.write_text("topology_gradient_mode = sometimes\n")
+    argv = ["train", "--dataset", str(workspace["noisy"]), "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv + [f.format(bad_topology=cfg_file) for f in flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {info.value}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenes", [0, 1])
+@pytest.mark.parametrize("command", ["train", "eval-heldout", "eval-train"])
+def test_dataset_too_small_to_split_exits_2(command, scenes, workspace, tmp_path, capsys):
+    path = tmp_path / "small.tcpd"
+    noisy = data.read_dataset(str(workspace["noisy"]))
+    data.write_dataset(data.subset(noisy, np.arange(scenes)), str(path))
+    if command == "train":
+        argv = ["train", "--dataset", str(path), "--out-dir", str(tmp_path / "o")]
+        argv += ["--net-widths", "6,8"]
+    else:
+        argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--dataset", str(path)]
+        argv += ["--split", command.removeprefix("eval-")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: need at least 2 scenes to split off a held-out set, got {scenes}"], err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("dim, scenes", [(2**31, 0), (2**30, 1), (400_000_000, 3)])

@@ -1,13 +1,59 @@
 """Config file parsing, preset merging, and seed fallback."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from topodesc import config as C
 from topodesc.errors import InvalidArgumentError, InvalidInputError
-from topodesc.loss import LossConfig
+
+# config.txt of the desk preset, byte for byte; an empty value keeps its space.
+DESK_CONFIG_TXT = "".join(
+    f"{line}\n"
+    for line in (
+        "margin = 1.0",
+        "k = 8",
+        "lambda_n0 = 500",
+        "lambda_N = 100",
+        "lambda_r = 0.025",
+        "lambda_floor = 0.5",
+        "topology_gradient_mode = through-weights",
+        "net_widths = 16,64,64,32",
+        "batch_size = 64",
+        "iterations = 2000",
+        "lr_start = 0.1",
+        "lr_end = 0.0",
+        "seed = 0",
+        "dataset = ",
+        "out_dir = ",
+        "precision = double",
+        "lambda_mode = dynamic",
+    )
+)
+
+PAPER_CONFIG_TXT = (
+    DESK_CONFIG_TXT.replace("k = 8\n", "k = 20\n")
+    .replace("lambda_n0 = 500\n", "lambda_n0 = 50000\n")
+    .replace("lambda_N = 100\n", "lambda_N = 10000\n")
+    .replace("batch_size = 64\n", "batch_size = 1024\n")
+    .replace("iterations = 2000\n", "iterations = 250000\n")
+)
+
+# Each check on the margin, k, schedule and gradient-mode fields, with its message.
+FIELD_CHECKS = [
+    ({"margin": 0.0}, "margin must be positive and finite, got 0.0"),
+    ({"margin": np.inf}, "margin must be positive and finite, got inf"),
+    ({"k": 0}, "k must be >= 1, got 0"),
+    ({"lambda_n0": -1}, "schedule needs lambda_n0 >= 0 and lambda_N >= 1, got -1, 100"),
+    ({"lambda_N": 0}, "schedule needs lambda_n0 >= 0 and lambda_N >= 1, got 500, 0"),
+    ({"lambda_r": 0.0}, "lambda_r must be positive and finite, got 0.0"),
+    ({"lambda_floor": 0.0}, "lambda_floor must be in (0, 1], got 0.0"),
+    ({"lambda_floor": 1.5}, "lambda_floor must be in (0, 1], got 1.5"),
+    (
+        {"topology_gradient_mode": "sometimes"},
+        "topology_gradient_mode must be one of ('through-weights', 'detached', 'off'), "
+        "got 'sometimes'",
+    ),
+]
 
 
 class TestRunConfig:
@@ -24,13 +70,11 @@ class TestRunConfig:
 
     def test_loss_config_carries_shared_fields(self):
         cfg = C.RunConfig(margin=0.75, k=5, lambda_r=0.05)
-        assert isinstance(cfg, LossConfig)
-        loss_fields = [f.name for f in fields(LossConfig)]
-        assert [f.name for f in fields(cfg)][: len(loss_fields)] == loss_fields
         assert (cfg.margin, cfg.k, cfg.lambda_r) == (0.75, 5, 0.05)
-        assert cfg.lambda_floor == LossConfig().lambda_floor
+        assert cfg.lambda_floor == 0.5
         with pytest.raises(InvalidArgumentError, match="lambda_floor"):
-            C.RunConfig(lambda_floor=0.0)  # LossConfig's checks run too
+            C.RunConfig(lambda_floor=0.0)
+        assert C.RunConfig.__bases__ == (object,)
 
     def test_dtype_mapping(self):
         assert C.RunConfig().dtype() is np.float64
@@ -57,6 +101,10 @@ class TestRunConfig:
             C.RunConfig(lambda_mode="fixed:1.5")
         with pytest.raises(InvalidArgumentError, match="fixed lambda must be"):
             C.RunConfig(lambda_mode="fixed:abc")
+        for values, message in FIELD_CHECKS:
+            with pytest.raises(InvalidArgumentError) as info:
+                C.RunConfig(**values)
+            assert str(info.value) == message
 
 
 class TestConfigFile:
@@ -188,6 +236,13 @@ class TestResolve:
 
 
 class TestFormat:
+    @pytest.mark.parametrize(
+        "preset, text", [("desk", DESK_CONFIG_TXT), ("paper", PAPER_CONFIG_TXT)]
+    )
+    def test_preset_config_txt_is_golden(self, preset, text, monkeypatch):
+        monkeypatch.delenv(C.SEED_ENV_VAR, raising=False)
+        assert C.format_config(C.resolve_config(preset)) == text
+
     def test_renders_every_field_once(self):
         text = C.format_config(C.RunConfig())
         lines = [l for l in text.splitlines() if l]

@@ -221,6 +221,13 @@ class TestSplit:
         assert train.scene_count == 1
         assert held.scene_count == 1
 
+    @pytest.mark.parametrize("scenes", [0, 1])
+    def test_fewer_than_two_scenes_rejected(self, scenes):
+        ds = data.generate(seed=18, scenes=2, dim=3, noise_sigma=0.1, distortion=0.1)
+        small = data.subset(ds, np.arange(scenes))
+        with pytest.raises(InvalidArgumentError, match=f"need at least 2 scenes.*got {scenes}$"):
+            data.split_train_heldout(small)
+
     def test_subset_copies(self):
         ds = data.generate(seed=19, scenes=6, dim=3, noise_sigma=0.1, distortion=0.1)
         sub = data.subset(ds, np.array([1, 3]))

@@ -4,8 +4,8 @@ import numpy as np
 
 from topodesc import autodiff as ad
 from topodesc import gradcheck
-from topodesc import loss as lossmod
 from topodesc import net as netmod
+from topodesc.config import RunConfig
 
 
 def make_problem(mode, seed=0):
@@ -13,7 +13,7 @@ def make_problem(mode, seed=0):
     net = netmod.init_net((8, 10, 4), rng)
     xa = rng.standard_normal((6, 8))
     xp = xa + 0.1 * rng.standard_normal((6, 8))
-    cfg = lossmod.LossConfig(k=2, topology_gradient_mode=mode)
+    cfg = RunConfig(k=2, topology_gradient_mode=mode)
     return net, xa, xp, cfg
 
 

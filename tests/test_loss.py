@@ -9,6 +9,7 @@ import pytest
 from topodesc import autodiff as ad
 from topodesc import knn, topology
 from topodesc import loss as L
+from topodesc.config import RunConfig, resolve_config
 from topodesc.errors import InvalidArgumentError, InvalidBatchError
 
 from single_fit import fit_one
@@ -19,8 +20,8 @@ def unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-PAPER = L.LossConfig()
-DESK = L.LossConfig(k=8, lambda_n0=500, lambda_N=100)
+PAPER = resolve_config("paper")
+DESK = RunConfig()
 
 
 def positive_distance(d_euclid: float, d_topo: float, lam: float) -> float:
@@ -53,7 +54,7 @@ class TestLambdaSchedule:
 
     def test_interval_rounding_is_ceil(self):
         # one sample past a boundary already counts the next full interval
-        cfg = L.LossConfig(lambda_n0=10, lambda_N=5)
+        cfg = RunConfig(lambda_n0=10, lambda_N=5)
         assert L.lambda_schedule(10, cfg) == 1.0
         assert L.lambda_schedule(11, cfg) == 1.0 - cfg.lambda_r
         assert L.lambda_schedule(15, cfg) == 1.0 - cfg.lambda_r
@@ -67,6 +68,39 @@ class TestLambdaSchedule:
         vals = [L.lambda_schedule(i, DESK) for i in range(0, 3000, 7)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert all(DESK.lambda_floor <= v <= 1.0 for v in vals)
+
+
+class TestResolveLambda:
+    SHORT = RunConfig(k=3, lambda_n0=4, lambda_N=2)
+
+    def test_dynamic_follows_schedule(self):
+        for i in (0, 4, 5, 7, 11):
+            assert L.resolve_lambda(i, self.SHORT) == L.lambda_schedule(i, self.SHORT)
+
+    def test_fixed_value(self):
+        assert L.resolve_lambda(3, RunConfig(lambda_mode="fixed:0.75")) == 0.75
+        assert L.resolve_lambda(3, RunConfig(lambda_mode="fixed:1.0")) == 1.0
+
+    def test_off_mode_pins_lambda_to_one(self):
+        cfg = dataclasses.replace(self.SHORT, topology_gradient_mode="off")
+        assert L.resolve_lambda(9999, cfg) == 1.0
+        assert L.resolve_lambda(9999, dataclasses.replace(cfg, lambda_mode="fixed:0.25")) == 1.0
+
+    @pytest.mark.parametrize(
+        "mode, lambda_mode, iteration, lam",
+        [
+            ("through-weights", "fixed:0.5", 0, 0.5),
+            ("detached", "fixed:0.25", 0, 0.25),
+            ("through-weights", "dynamic", 7, 0.95),
+            ("off", "fixed:0.5", 0, 1.0),
+        ],
+    )
+    def test_batch_loss_reports_the_training_lambda(self, mode, lambda_mode, iteration, lam):
+        rng = np.random.default_rng(24)
+        va, vp = unit_rows(rng, 10, 5), unit_rows(rng, 10, 5)
+        cfg = dataclasses.replace(self.SHORT, topology_gradient_mode=mode, lambda_mode=lambda_mode)
+        rep = L.batch_loss(va, vp, iteration, cfg)
+        assert rep.lam == L.resolve_lambda(iteration, cfg) == lam
 
 
 class TestPositiveDistance:
@@ -164,7 +198,7 @@ class TestHardestNegative:
 class TestSelectStructure:
     def test_negatives_match_scalar_miner(self):
         rng = np.random.default_rng(1)
-        cfg = L.LossConfig(k=3)
+        cfg = RunConfig(k=3)
         for _ in range(10):
             va = unit_rows(rng, 9, 5)
             vp = unit_rows(rng, 9, 5)
@@ -179,32 +213,32 @@ class TestSelectStructure:
         rng = np.random.default_rng(2)
         va = unit_rows(rng, 8, 4)
         vp = unit_rows(rng, 8, 4)
-        st = L.select_structure(va, vp, L.LossConfig(k=2))
+        st = L.select_structure(va, vp, RunConfig(k=2))
         np.testing.assert_array_equal(st.idx_a, knn.neighbor_index_matrix(va, 2))
         np.testing.assert_array_equal(st.idx_p, knn.neighbor_index_matrix(vp, 2))
 
     def test_off_mode_skips_topology_parts(self):
         rng = np.random.default_rng(3)
         va = unit_rows(rng, 4, 4)
-        st = L.select_structure(va, va, L.LossConfig(k=200, topology_gradient_mode="off"))
+        st = L.select_structure(va, va, RunConfig(k=200, topology_gradient_mode="off"))
         assert st.idx_a is None and st.gather_a is None
 
     def test_k_exceeding_batch_rejected(self):
         rng = np.random.default_rng(4)
         va = unit_rows(rng, 4, 4)
         with pytest.raises(InvalidBatchError, match="k=4"):
-            L.select_structure(va, va, L.LossConfig(k=4))
+            L.select_structure(va, va, RunConfig(k=4))
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(InvalidBatchError):
-            L.select_structure(unit_rows(rng, 4, 4), unit_rows(rng, 5, 4), L.LossConfig(k=2))
+            L.select_structure(unit_rows(rng, 4, 4), unit_rows(rng, 5, 4), RunConfig(k=2))
 
     def test_gather_matrices_select_union_positions(self):
         rng = np.random.default_rng(6)
         va = unit_rows(rng, 6, 4)
         vp = unit_rows(rng, 6, 4)
-        st = L.select_structure(va, vp, L.LossConfig(k=2))
+        st = L.select_structure(va, vp, RunConfig(k=2))
         # each gather row block reassembles the dense scatter of any weights
         w = rng.standard_normal((6, 2))
         for i in range(6):
@@ -219,7 +253,7 @@ class TestSelectStructure:
 class TestBatchLossFixtures:
     def test_antipodal_pair_is_inactive(self):
         va = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        rep = L.batch_loss(va, va.copy(), 0, L.LossConfig(k=1))
+        rep = L.batch_loss(va, va.copy(), 0, RunConfig(k=1))
         assert rep.loss == 0.0
         assert rep.active_triplets == 0
         assert rep.mean_d_neg == 2.0
@@ -238,7 +272,7 @@ class TestBatchLossFixtures:
         )
         assert float(va[1] @ va[1]) == 1.0
         for iteration in (0, 250_000):
-            rep = L.batch_loss(va, va.copy(), iteration, L.LossConfig(k=1))
+            rep = L.batch_loss(va, va.copy(), iteration, RunConfig(k=1))
             assert rep.loss == 0.5
             assert rep.active_triplets == 2
             assert rep.mean_d_neg == 0.5
@@ -252,7 +286,7 @@ class TestBatchLossFixtures:
                 [0.875, 0.375, 0.25, 0.125, 0.125],
             ]
         )
-        rep = L.batch_loss(va, va.copy(), 0, L.LossConfig(margin=0.25, k=1))
+        rep = L.batch_loss(va, va.copy(), 0, RunConfig(margin=0.25, k=1))
         assert rep.loss == 0.0
         assert rep.active_triplets == 0
 
@@ -287,7 +321,7 @@ def oracle_loss(va, vp, lam, cfg, eps):
 class TestBatchLossAgainstOracle:
     def test_matches_scalar_composition(self):
         rng = np.random.default_rng(7)
-        cfg = L.LossConfig(k=2)
+        cfg = RunConfig(k=2)
         for trial in range(6):
             va = unit_rows(rng, 8, 5)
             vp = unit_rows(rng, 8, 5)
@@ -299,7 +333,7 @@ class TestBatchLossAgainstOracle:
 
     def test_matches_oracle_with_larger_k(self):
         rng = np.random.default_rng(8)
-        cfg = L.LossConfig(k=5)
+        cfg = RunConfig(k=5)
         va = unit_rows(rng, 16, 6)
         vp = unit_rows(rng, 16, 6)
         rep = L.batch_loss(va, vp, 250_000, cfg)
@@ -308,7 +342,7 @@ class TestBatchLossAgainstOracle:
 
     def test_identical_views_reduce_to_negative_hinge(self):
         rng = np.random.default_rng(9)
-        cfg = L.LossConfig(k=3)
+        cfg = RunConfig(k=3)
         va = unit_rows(rng, 10, 5)
         rep = L.batch_loss(va, va.copy(), 0, cfg)
         cross = knn.pairwise_distances(va, va)
@@ -322,8 +356,8 @@ class TestModeEquivalences:
         rng = np.random.default_rng(10)
         va = unit_rows(rng, 12, 6)
         vp = unit_rows(rng, 12, 6)
-        through = L.batch_loss(va, vp, 0, L.LossConfig(k=3))
-        off = L.batch_loss(va, vp, 0, L.LossConfig(k=3, topology_gradient_mode="off"))
+        through = L.batch_loss(va, vp, 0, RunConfig(k=3))
+        off = L.batch_loss(va, vp, 0, RunConfig(k=3, topology_gradient_mode="off"))
         assert through.lam == 1.0
         assert off.loss == through.loss
         assert off.mean_d_neg == through.mean_d_neg
@@ -333,8 +367,8 @@ class TestModeEquivalences:
         rng = np.random.default_rng(11)
         va = unit_rows(rng, 10, 5)
         vp = unit_rows(rng, 10, 5)
-        a = L.batch_loss(va, vp, 250_000, L.LossConfig(k=3))
-        b = L.batch_loss(va, vp, 250_000, L.LossConfig(k=3, topology_gradient_mode="detached"))
+        a = L.batch_loss(va, vp, 250_000, RunConfig(k=3))
+        b = L.batch_loss(va, vp, 250_000, RunConfig(k=3, topology_gradient_mode="detached"))
         assert a.loss == b.loss
         assert a.mean_d_pos_topo == b.mean_d_pos_topo
 
@@ -344,7 +378,7 @@ class TestModeEquivalences:
         rng = np.random.default_rng(12)
         va = unit_rows(rng, 8, 5)
         vp = unit_rows(rng, 8, 5)
-        cfg = L.LossConfig(k=2, topology_gradient_mode="detached")
+        cfg = RunConfig(k=2, topology_gradient_mode="detached")
 
         def grad_for(structure):
             tape = ad.Tape()
@@ -355,7 +389,7 @@ class TestModeEquivalences:
             return graph.report.loss, ta.grad.copy(), tp.grad.copy()
 
         loss_detached, ga, gp = grad_for(L.select_structure(va, vp, cfg))
-        st = L.select_structure(va, vp, L.LossConfig(k=2))
+        st = L.select_structure(va, vp, RunConfig(k=2))
         st.frozen_wa = topology.affine_weight_values(va, st.idx_a)
         st.frozen_wp = topology.affine_weight_values(vp, st.idx_p)
         loss_frozen, fa, fp = grad_for(st)
@@ -368,7 +402,7 @@ class TestModeEquivalences:
         rng = np.random.default_rng(16)
         va = unit_rows(rng, 8, 5).astype(dtype)
         vp = unit_rows(rng, 8, 5).astype(dtype)
-        cfg = L.LossConfig(k=3, topology_gradient_mode="detached")
+        cfg = RunConfig(k=3, topology_gradient_mode="detached")
         st = L.select_structure(va, vp, cfg)
         np.testing.assert_array_equal(st.frozen_wa, topology.affine_weight_values(va, st.idx_a))
         np.testing.assert_array_equal(st.frozen_wp, topology.affine_weight_values(vp, st.idx_p))
@@ -403,7 +437,7 @@ class TestModeEquivalences:
         vp = unit_rows(rng, 8, 5)
         grads = {}
         for mode in ("through-weights", "detached"):
-            cfg = L.LossConfig(k=2, topology_gradient_mode=mode)
+            cfg = RunConfig(k=2, topology_gradient_mode=mode)
             st = L.select_structure(va, vp, cfg)
             tape = ad.Tape()
             ta = ad.leaf(tape, va)
@@ -415,7 +449,7 @@ class TestModeEquivalences:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
-        cfg = L.LossConfig(k=3)
+        cfg = RunConfig(k=3)
         va = unit_rows(rng, 12, 6)
         vp = unit_rows(rng, 12, 6)
         base = L.batch_loss(va, vp, 250_000, cfg)
@@ -429,31 +463,31 @@ class TestModeEquivalences:
 class TestValidation:
     def test_config_ranges(self):
         with pytest.raises(InvalidArgumentError):
-            L.LossConfig(margin=0.0)
+            RunConfig(margin=0.0)
         with pytest.raises(InvalidArgumentError):
-            L.LossConfig(k=0)
+            RunConfig(k=0)
         with pytest.raises(InvalidArgumentError):
-            L.LossConfig(lambda_N=0)
+            RunConfig(lambda_N=0)
         with pytest.raises(InvalidArgumentError):
-            L.LossConfig(lambda_n0=-1)
+            RunConfig(lambda_n0=-1)
         with pytest.raises(InvalidArgumentError):
-            L.LossConfig(lambda_r=0.0)
+            RunConfig(lambda_r=0.0)
         with pytest.raises(InvalidArgumentError):
-            L.LossConfig(lambda_floor=0.0)
+            RunConfig(lambda_floor=0.0)
         with pytest.raises(InvalidArgumentError):
-            L.LossConfig(lambda_floor=1.5)
+            RunConfig(lambda_floor=1.5)
         with pytest.raises(InvalidArgumentError):
-            L.LossConfig(topology_gradient_mode="sometimes")
+            RunConfig(topology_gradient_mode="sometimes")
 
     def test_batch_of_one_rejected(self):
         va = np.array([[1.0, 0.0]])
         with pytest.raises(InvalidBatchError):
-            L.batch_loss(va, va, 0, L.LossConfig(k=1))
+            L.batch_loss(va, va, 0, RunConfig(k=1))
 
     def test_lambda_out_of_range_in_graph(self):
         rng = np.random.default_rng(14)
         va = unit_rows(rng, 4, 4)
-        cfg = L.LossConfig(k=2)
+        cfg = RunConfig(k=2)
         st = L.select_structure(va, va, cfg)
         tape = ad.Tape()
         with pytest.raises(InvalidArgumentError):

@@ -8,6 +8,7 @@ import pytest
 from topodesc import autodiff as ad
 from topodesc import loss as L
 from topodesc import net as nm
+from topodesc.config import RunConfig
 from topodesc.errors import DatasetFormatError, DegenerateDescriptorError, InvalidInputError
 
 
@@ -32,7 +33,6 @@ class TestForward:
 
     def test_single_linear_identity_layer_normalizes_input(self):
         net = nm.EmbeddingNet(
-            widths=(3, 3),
             weights=[np.eye(3)],
             biases=[np.zeros(3)],
         )
@@ -42,7 +42,6 @@ class TestForward:
 
     def test_zero_row_through_bias_free_linear_net_is_degenerate(self):
         net = nm.EmbeddingNet(
-            widths=(3, 3),
             weights=[np.eye(3)],
             biases=[np.zeros(3)],
         )
@@ -51,14 +50,14 @@ class TestForward:
             nm.embed(net, x)
 
     def test_net_built_without_tags_applies_its_layers(self):
-        swap = nm.EmbeddingNet(
-            widths=(2, 2), weights=[np.array([[0.0, 1.0], [1.0, 0.0]])], biases=[np.zeros(2)]
-        )
+        swap = nm.EmbeddingNet(weights=[np.array([[0.0, 1.0], [1.0, 0.0]])], biases=[np.zeros(2)])
         np.testing.assert_array_equal(nm.embed(swap, np.array([[3.0, 4.0]])), [[0.8, 0.6]])
         rng = np.random.default_rng(20)
         weights = [rng.standard_normal((5, 3)), rng.standard_normal((2, 5))]
         biases = [rng.standard_normal(5), rng.standard_normal(2)]
-        net = nm.EmbeddingNet(widths=(3, 5, 2), weights=weights, biases=biases)
+        net = nm.EmbeddingNet(weights=weights, biases=biases)
+        assert net.widths == (3, 5, 2)
+        assert repr(net) == "EmbeddingNet(widths=(3, 5, 2))"
         assert net.activations == ("tanh", "linear")
         x = rng.standard_normal((4, 3))
         want = np.tanh(x @ weights[0].T + biases[0]) @ weights[1].T + biases[1]
@@ -162,7 +161,6 @@ class TestSgdStep:
     def test_momentum_compounds_displacement(self):
         # constant gradient g for two steps: v1 = g, v2 = 1.9 g, total 2.9 lr g
         net = nm.EmbeddingNet(
-            widths=(1, 1),
             weights=[np.array([[10.0]])],
             biases=[np.array([0.0])],
         )
@@ -173,7 +171,6 @@ class TestSgdStep:
 
     def test_weight_decay_shrinks_parameters(self):
         net = nm.EmbeddingNet(
-            widths=(1, 1),
             weights=[np.array([[2.0]])],
             biases=[np.array([4.0])],
         )
@@ -194,7 +191,7 @@ class TestSgdStep:
         rng = np.random.default_rng(15)
         xa = rng.standard_normal((24, 8))
         xp = xa + 0.05 * rng.standard_normal((24, 8))
-        cfg = L.LossConfig(k=4)
+        cfg = RunConfig(k=4)
 
         def loss_and_grads(do_backward):
             tape = ad.Tape()
@@ -223,7 +220,6 @@ class TestCheckpoint:
         rng = np.random.default_rng(21)
         widths = (4, 6, 5, 3)
         net = nm.EmbeddingNet(
-            widths=widths,
             weights=[rng.standard_normal((o, i)) for i, o in zip(widths[:-1], widths[1:])],
             biases=[rng.standard_normal(o) for o in widths[1:]],
         )
@@ -231,6 +227,20 @@ class TestCheckpoint:
         nm.save_checkpoint(net, str(path))
         loaded = nm.load_checkpoint(str(path))
         x = rng.standard_normal((7, 4))
+        np.testing.assert_array_equal(nm.embed(loaded, x), nm.embed(net, x))
+
+    def test_hand_built_net_round_trips(self, tmp_path):
+        # the widths come from the weight shapes, so a saved net always reloads
+        rng = np.random.default_rng(23)
+        net = nm.EmbeddingNet(weights=[rng.standard_normal((3, 2))], biases=[rng.standard_normal(3)])
+        assert net.widths == (2, 3)
+        path = tmp_path / "model.tcd1"
+        nm.save_checkpoint(net, str(path))
+        loaded = nm.load_checkpoint(str(path))
+        assert loaded.widths == (2, 3)
+        np.testing.assert_array_equal(loaded.weights[0], net.weights[0])
+        np.testing.assert_array_equal(loaded.biases[0], net.biases[0])
+        x = rng.standard_normal((4, 2))
         np.testing.assert_array_equal(nm.embed(loaded, x), nm.embed(net, x))
 
     def test_round_trip_bitwise(self, tmp_path):
@@ -249,7 +259,7 @@ class TestCheckpoint:
         net = fresh_net(widths=(4, 6, 2), seed=17, dtype=np.float32)
         path = tmp_path / "model.tcd1"
         nm.save_checkpoint(net, str(path))
-        loaded = nm.load_checkpoint(str(path), dtype=np.float32)
+        loaded = nm.cast_net(nm.load_checkpoint(str(path)), np.float32)
         assert loaded.dtype == np.float32
         for a, b in zip(loaded.weights, net.weights):
             np.testing.assert_array_equal(a, b)

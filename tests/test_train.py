@@ -10,6 +10,7 @@ import pytest
 from topodesc import autodiff, data, train
 from topodesc.config import RunConfig
 from topodesc.errors import InvalidArgumentError
+from topodesc.loss import resolve_lambda
 from topodesc.net import embed
 
 
@@ -47,21 +48,7 @@ class TestLearningRate:
 
 
 class TestResolveLambda:
-    def test_dynamic_follows_schedule(self):
-        cfg = tiny_config()
-        from topodesc.loss import lambda_schedule
-
-        for i in (0, 4, 5, 7, 11):
-            assert train.resolve_lambda(i, cfg) == lambda_schedule(i, cfg)
-
-    def test_fixed_value(self):
-        assert train.resolve_lambda(3, tiny_config(lambda_mode="fixed:0.75")) == 0.75
-        assert train.resolve_lambda(3, tiny_config(lambda_mode="fixed:1.0")) == 1.0
-
-    def test_off_mode_pins_lambda_to_one(self):
-        cfg = tiny_config(topology_gradient_mode="off")
-        assert train.resolve_lambda(9999, cfg) == 1.0
-        assert train.resolve_lambda(9999, replace(cfg, lambda_mode="fixed:0.25")) == 1.0
+    """A run's lambda_mode is checked when its config is built, before any λ is resolved."""
 
     def test_fixed_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
@@ -119,6 +106,13 @@ class TestRunTraining:
 
         for i, row in enumerate(result.rows):
             assert row.lam == lambda_schedule(i, cfg)
+
+    def test_lambda_column_is_the_resolved_lambda(self):
+        for cfg in (tiny_config(lambda_mode="fixed:0.5"), tiny_config(topology_gradient_mode="off")):
+            result = train.run_training(cfg, dataset=tiny_dataset())
+            assert [row.lam for row in result.rows] == [
+                resolve_lambda(i, cfg) for i in range(cfg.iterations)
+            ]
 
     def test_training_improves_the_loss(self):
         cfg = tiny_config(iterations=80, seed=3)
