@@ -207,6 +207,8 @@ def cmd_eval(args) -> int:
 
 def cmd_inspect(args) -> int:
     net, ds = _load_net_and_data(args.checkpoint, args.dataset)
+    if ds.scene_count < 2:
+        raise InvalidArgumentError(f"need at least 2 scenes to inspect a batch, got {ds.scene_count}")
     batch_size = min(args.batch_size, ds.scene_count)
     rng = np.random.default_rng(resolve_seed(args.seed))
     _, batch_a, batch_p = datamod.sample_batch(ds, batch_size, rng)

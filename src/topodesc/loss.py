@@ -159,7 +159,7 @@ class LossGraph:
 
     d_pos is the Euclidean distance of each matched pair and d_topo its
     topology distance; d_topo and the two views' affine weights are None
-    in "off" mode.
+    in "off" mode, and constants unless the mode is "through-weights" and lambda < 1.
     """
 
     loss: ad.Tensor
@@ -183,7 +183,8 @@ def build_loss_graph(
     mean over i of max(0, margin + blended positive distance - hardest
     negative distance). With topology_gradient_mode "off" the positive side
     is purely Euclidean. Frozen weights in the structure ("detached" mode)
-    enter as constants; otherwise the affine fit is recorded on the tape.
+    enter as constants, as fitted values do at lambda == 1, where d_T's
+    weight is 0; otherwise the affine fit is recorded on the tape.
     """
     if not 0.0 <= lam <= 1.0:
         raise InvalidArgumentError(f"lambda must be in [0, 1], got {lam}")
@@ -202,6 +203,10 @@ def build_loss_graph(
         if structure.frozen_wa is not None:
             weights_a = ad.constant(tape, structure.frozen_wa)
             weights_p = ad.constant(tape, structure.frozen_wp)
+        elif lam == 1.0:
+            # d_T is weighted by 1 - lam = 0, so its adjoint is exact zeros
+            weights_a = ad.constant(tape, topology.affine_weight_values(desc_a.value, structure.idx_a))
+            weights_p = ad.constant(tape, topology.affine_weight_values(desc_p.value, structure.idx_p))
         else:
             weights_a = topology.affine_weights(desc_a, structure.idx_a)
             weights_p = topology.affine_weights(desc_p, structure.idx_p)

@@ -9,8 +9,9 @@ rows.
 ``affine_weights`` is the only implementation of the fit: one autodiff node
 from the descriptors and their kNN indices to the weights, whose backward is
 the closed form of the LLE weights' derivative. Training records it on the
-tape; ``affine_weight_values`` and ``batch_topology_vectors`` run it on
-constants. The d_T that training uses is the loss graph's
+tape in "through-weights" mode while lambda < 1; ``affine_weight_values``
+and ``batch_topology_vectors`` run it on constants, as every other step does.
+The d_T that training uses is the loss graph's
 (``loss.build_loss_graph``); ``batch_topology_vectors`` and
 ``topology_distance`` spell out the definition on dense rows.
 """
@@ -83,7 +84,8 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> a
     def back(g):
         g = np.asarray(g, dtype=np.float64)
         gb = ad.cho_solve(lower, (g - (g * w).sum(axis=1, keepdims=True)) / ysum)
-        grad_s = -gb[:, :, None] * y64[:, None, :]
+        # C order keeps the matmul below on BLAS; gb and y64 are column-major
+        grad_s = np.multiply(-gb[:, :, None], y64[:, None, :], order="C")
         grad_s[:, diag, diag] += (grad_s[:, diag, diag].sum(axis=1) * coef * nonzero)[:, None]
         grad_d = (grad_s + grad_s.swapaxes(-1, -2)) @ d
         grad_x = -ad.scatter_rows(idx, grad_d, x.value.shape)

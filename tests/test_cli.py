@@ -791,6 +791,17 @@ def test_dataset_too_small_to_split_exits_2(command, scenes, workspace, tmp_path
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("scenes", [0, 1])
+def test_inspect_on_fewer_than_2_scenes_exits_2(scenes, workspace, tmp_path, capsys):
+    path = tmp_path / "small.tcpd"
+    noisy = data.read_dataset(str(workspace["noisy"]))
+    data.write_dataset(data.subset(noisy, np.arange(scenes)), str(path))
+    argv = ["inspect", "--checkpoint", str(workspace["checkpoint"]), "--dataset", str(path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: need at least 2 scenes to inspect a batch, got {scenes}"], err
+
+
 @pytest.mark.parametrize("dim, scenes", [(2**31, 0), (2**30, 1), (400_000_000, 3)])
 def test_huge_dim_header_exits_3(dim, scenes, tmp_path, capsys):
     path = tmp_path / "huge.tcpd"

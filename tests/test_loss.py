@@ -9,9 +9,11 @@ import pytest
 from topodesc import autodiff as ad
 from topodesc import knn, topology
 from topodesc import loss as L
+from topodesc import net as netmod
 from topodesc.config import RunConfig, resolve_config
 from topodesc.errors import InvalidArgumentError, InvalidBatchError
 
+from recorded_fit import recorded_fit_loss_graph
 from single_fit import fit_one
 
 
@@ -417,6 +419,38 @@ class TestModeEquivalences:
         graph = L.build_loss_graph(ad.leaf(tape, va), ad.leaf(tape, vp), 0.25, cfg, st, tape)
         assert graph.weights_a.value is st.frozen_wa and graph.weights_p.value is st.frozen_wp
         assert not graph.weights_a.requires_grad and not graph.weights_p.requires_grad
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_lambda_one_keeps_the_fit_off_the_tape(self, dtype):
+        # 1 - lambda = 0 multiplies d_T's adjoint to exact zeros, so leaving the
+        # fits and the d_T chain off the tape must change no bit
+        rng = np.random.default_rng(17)
+        net = netmod.init_net((6, 16, 8), rng, dtype=dtype)
+        patches_a = rng.standard_normal((12, 6))
+        patches_p = patches_a + 0.3 * rng.standard_normal((12, 6))
+        cfg = RunConfig(k=3)
+
+        def step(build):
+            tape = ad.Tape()
+            leaves = netmod.make_leaves(net, tape)
+            desc_a = netmod.forward(net, patches_a, tape, leaves)
+            desc_p = netmod.forward(net, patches_p, tape, leaves)
+            st = L.select_structure(desc_a.value, desc_p.value, cfg)
+            graph = build(desc_a, desc_p, 1.0, cfg, st, tape)
+            ad.backward(tape, graph.loss)
+            return graph, len(tape.nodes), {name: t.grad.tobytes() for name, t in leaves.items()}
+
+        graph, nodes, grads = step(L.build_loss_graph)
+        want, want_nodes, want_grads = step(recorded_fit_loss_graph)
+        assert not graph.weights_a.requires_grad and not graph.weights_p.requires_grad
+        assert not graph.d_topo.requires_grad
+        # two fits, two reshapes, two matmuls, sub, abs, sum, and the two muls of d_T
+        assert nodes == want_nodes - 11
+        assert graph.weights_a.value.tobytes() == want.weights_a.value.tobytes()
+        assert graph.weights_p.value.tobytes() == want.weights_p.value.tobytes()
+        assert graph.d_topo.value.tobytes() == want.d_topo.value.tobytes()
+        assert graph.report == want.report and graph.report.mean_d_pos_topo > 0
+        assert grads == want_grads
 
     def test_identical_pair_has_zero_gradient(self):
         # rows whose self-dot rounds to 1 or above: d = 0 exactly, and the

@@ -78,6 +78,35 @@ def fit_and_gradient(fit, x, idx, eps, adjoint):
     return w.value, leaf.grad
 
 
+def column_major_fit_gradient(x, idx, adjoint, eps=topology.DEFAULT_EPS):
+    """Gradient of <adjoint, w> in x, with grad_S laid out as cho_solve's outputs are.
+
+    cho_solve returns gb and y column-major, so their outer product has the
+    anchor axis fastest. affine_weights builds grad_S C-order instead, which
+    keeps (grad_S + grad_S') D on BLAS; this oracle keeps the old layout.
+    """
+    n, k = idx.shape
+    d = x[:n, None, :] - x[idx]
+    m = ad.mirrored_gram(d)
+    diag = np.arange(k)
+    trace = m[:, diag, diag].sum(axis=-1)
+    coef = np.asarray(eps / k, dtype=x.dtype)
+    m[:, diag, diag] += np.where(trace != 0, trace * coef, np.asarray(eps, dtype=x.dtype))[:, None]
+    lower = ad.cholesky_factor(m)
+    y64 = ad.cho_solve(lower, np.ones((n, k)))
+    y = y64.astype(x.dtype, copy=False)
+    ysum = y.sum(axis=1, keepdims=True)
+    g = np.asarray(adjoint, dtype=np.float64)
+    gb = ad.cho_solve(lower, (g - (g * (y / ysum)).sum(axis=1, keepdims=True)) / ysum)
+    grad_s = -gb[:, :, None] * y64[:, None, :]
+    assert k == 1 or grad_s.strides[0] < grad_s.strides[1]
+    grad_s[:, diag, diag] += (grad_s[:, diag, diag].sum(axis=1) * coef * (trace != 0))[:, None]
+    grad_d = (grad_s + grad_s.swapaxes(-1, -2)) @ d
+    grad_x = -ad.scatter_rows(idx, grad_d, x.shape)
+    grad_x[:n] += grad_d.sum(axis=1)
+    return grad_x.astype(x.dtype)
+
+
 def assert_close_normwise(got, want, rtol):
     """|got - want| <= rtol * max|want| everywhere, and the dtype kept."""
     assert got.dtype == want.dtype
@@ -214,6 +243,25 @@ class TestAffineWeightsNode:
             minus = float(np.sum(adjoint * topology.affine_weight_values(bumped, idx, eps)))
             numeric[pos] = (plus - minus) / (2 * step)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 20),
+        extra=st.integers(1, 40),
+        dim=st.integers(2, 48),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradient_matches_column_major_grad_s_bitwise(self, k, extra, dim, dtype, seed):
+        # dim = 1 is left out: there (k, k) @ (k, 1) runs as BLAS's
+        # matrix-vector product, which rounds differently from the strided loop
+        rng = np.random.default_rng(seed)
+        x = unit_rows(rng, k + extra, dim).astype(dtype)
+        idx = neighbor_index_matrix(x, k)
+        adjoint = rng.standard_normal(idx.shape).astype(dtype)
+        _, grad = fit_and_gradient(topology.affine_weights, x, idx, topology.DEFAULT_EPS, adjoint)
+        assert grad.tobytes() == column_major_fit_gradient(x, idx, adjoint).tobytes()
 
 
 class TestTopologyVector:

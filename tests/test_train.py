@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from topodesc import autodiff, data, train
+from topodesc import loss as lossmod
 from topodesc.config import RunConfig
 from topodesc.errors import InvalidArgumentError
 from topodesc.loss import resolve_lambda
 from topodesc.net import embed
+
+from recorded_fit import recorded_fit_loss_graph
 
 
 def tiny_dataset(seed=0, scenes=40, dim=6):
@@ -92,6 +95,20 @@ class TestRunTraining:
         assert a.rows == b.rows
         detached = train.run_training(replace(cfg, topology_gradient_mode="detached"), dataset=ds)
         assert not np.array_equal(a.net.weights[0], detached.net.weights[0])
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_run_crossing_lambda_n0_matches_the_recorded_fit(self, precision, monkeypatch):
+        # steps 0-4 run at lambda = 1 with the fit off the tape, steps 5-11 below
+        # it with the fit recorded; the oracle records the fit at every step
+        ds = tiny_dataset()
+        cfg = tiny_config(precision=precision)
+        assert [resolve_lambda(i, cfg) for i in (4, 5)] == [1.0, 1.0 - cfg.lambda_r]
+        got = train.run_training(cfg, dataset=ds)
+        monkeypatch.setattr(lossmod, "build_loss_graph", recorded_fit_loss_graph)
+        want = train.run_training(cfg, dataset=ds)
+        for a, b in zip(got.net.weights + got.net.biases, want.net.weights + want.net.biases):
+            assert a.tobytes() == b.tobytes()
+        assert got.rows == want.rows
 
     def test_seed_changes_the_run(self):
         ds = tiny_dataset()
