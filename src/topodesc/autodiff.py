@@ -314,17 +314,17 @@ def cholesky_failures(m: np.ndarray) -> np.ndarray:
     return bad
 
 
-def cholesky_factor(m: np.ndarray) -> np.ndarray:
+def cholesky_factor(m: np.ndarray, first: int = 0) -> np.ndarray:
     """Lower factors L_i of M_i = L_i L_i^T for a stack (n, k, k), in double precision.
 
     A system that is not positive definite raises SingularSystemError
-    naming the first such anchor.
+    naming the first such anchor; the stack's first system is anchor `first`.
     """
     m64 = np.asarray(m, dtype=np.float64)
     try:
         return np.linalg.cholesky(m64)
     except np.linalg.LinAlgError:
-        bad = int(np.flatnonzero(cholesky_failures(m64))[0])
+        bad = first + int(np.flatnonzero(cholesky_failures(m64))[0])
         raise SingularSystemError(f"symmetric factorization failed for anchor {bad}") from None
 
 

@@ -1,19 +1,21 @@
 """Batch pairwise distances over unit descriptors and exact top-k selection.
 
 Distances use the dot-product identity d(x, y) = sqrt(2 - 2 x.y), valid for
-unit-length rows; one product and one in-place conversion serve both entry
-points. Selection is exact and runs on the raw product, since the distance
-only ever grows as the dot product falls: a whole-matrix partial selection
-of the k nearest per row, ordered by (distance, index), converts only the
-k candidates and the (k+1)-th nearest to distances, and any row whose k-th
-distance is shared by an entry left outside is re-sorted in full. Batches
-stay small enough that the O(n^2 D) product is fine.
+unit-length rows; one whole product (BLAS rounds a block of its rows
+differently) and one in-place conversion serve both entry points. Selection
+is exact and runs on the raw product, since the distance only ever grows as
+the dot product falls: a per-row partial selection of the k nearest, ordered
+by (distance, index), converts only the k candidates and the (k+1)-th
+nearest to distances, and any row whose k-th distance is shared by an entry
+left outside is re-sorted in full. Everything after the product is per row
+and runs in row ranges across the CPUs (``_rows``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import _rows
 from .errors import InvalidArgumentError, InvalidInputError
 
 UNIT_NORM_TOL = 1e-6
@@ -69,7 +71,9 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Entry (i, j) is sqrt(2 - 2 x_i.y_j); dot products are clamped to [-1, 1]
     first, so 2 - 2 x_i.y_j is exactly >= 0 and rounding cannot produce NaN.
     """
-    return _to_distance(_unit_product(x, y))
+    g = _unit_product(x, y)
+    _rows.in_parts(g.shape[0], lambda lo, hi: _to_distance(g[lo:hi]))
+    return g
 
 
 def neighbor_index_matrix(x: np.ndarray, k: int) -> np.ndarray:
@@ -95,20 +99,29 @@ def neighbor_index_matrix(x: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= n - 1:
         raise InvalidArgumentError(f"k must be in [1, n-1] = [1, {n - 1}], got {k}")
     g = _unit_product(x, x)
-    np.negative(g, out=g)
-    np.fill_diagonal(g, np.inf)
-    part = np.argpartition(g, k, axis=1)[:, : k + 1]
-    part[:, :k].sort(axis=1)
-    dist = np.take_along_axis(g, part, axis=1)
-    dist = _to_distance(np.negative(dist, out=dist))
-    # with k = n - 1 the (k+1)-th entry is the row itself, at +inf, which cuts no run
-    dist[part[:, k] == np.arange(n), k] = np.inf
-    order = np.argsort(dist[:, :k], axis=1, kind="stable")
-    idx = np.take_along_axis(part[:, :k], order, axis=1)
-    cut = np.flatnonzero(dist[:, k] <= dist[:, :k].max(axis=1))
-    if cut.size:
-        full = g[cut]
-        full = _to_distance(np.negative(full, out=full))
-        full[np.arange(cut.size), cut] = np.inf
-        idx[cut] = np.argsort(full, axis=1, kind="stable")[:, :k]
+    idx = np.empty((n, k), dtype=np.intp)
+
+    def select(lo, hi):
+        gp = np.negative(g[lo:hi], out=g[lo:hi])
+        rows = np.arange(lo, hi)
+        gp[rows - lo, rows] = np.inf
+        part = np.empty((hi - lo, k + 1), dtype=np.intp)
+        for c in range(0, hi - lo, _rows.MIN_PART):  # chunks bound the (rows, n) index temporary
+            chunk = slice(c, c + _rows.MIN_PART)
+            part[chunk] = np.argpartition(gp[chunk], k, axis=1)[:, : k + 1]
+        part[:, :k].sort(axis=1)
+        dist = np.take_along_axis(gp, part, axis=1)
+        dist = _to_distance(np.negative(dist, out=dist))
+        # with k = n - 1 the (k+1)-th entry is the row itself, at +inf, which cuts no run
+        dist[part[:, k] == rows, k] = np.inf
+        order = np.argsort(dist[:, :k], axis=1, kind="stable")
+        idx[lo:hi] = np.take_along_axis(part[:, :k], order, axis=1)
+        cut = np.flatnonzero(dist[:, k] <= dist[:, :k].max(axis=1))
+        if cut.size:
+            full = gp[cut]
+            full = _to_distance(np.negative(full, out=full))
+            full[np.arange(cut.size), cut + lo] = np.inf
+            idx[cut + lo] = np.argsort(full, axis=1, kind="stable")[:, :k]
+
+    _rows.in_parts(n, select)
     return idx

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import knn, topology
+from . import _rows, knn, topology
 from .config import RunConfig
 from .errors import InvalidArgumentError, InvalidBatchError
 
@@ -67,10 +67,16 @@ def hardest_negatives(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise InvalidBatchError(f"need a batch of >= 2 to mine negatives, got {n}")
     np.fill_diagonal(cross, np.inf)
-    row_j = np.argmin(cross, axis=1)
-    # argmin down the columns of a C-order matrix is slow; the first row
-    # holding the column min is the same index
-    col_m = np.argmax(cross == cross.min(axis=0), axis=0)
+    row_j, col_m = np.empty((2, n), dtype=np.intp)
+
+    def mine(lo, hi):
+        row_j[lo:hi] = np.argmin(cross[lo:hi], axis=1)
+        # argmin down the columns of a C-order matrix is slow; the first row
+        # holding the column min is the same index
+        cols = cross[:, lo:hi]
+        col_m[lo:hi] = np.argmax(cols == cols.min(axis=0), axis=0)
+
+    _rows.in_parts(n, mine)
     rows = np.arange(n)
     use_row = cross[rows, row_j] <= cross[col_m, rows]
     return np.where(use_row, rows, col_m), np.where(use_row, row_j, rows)
@@ -108,12 +114,19 @@ def _union_gathers(idx_a: np.ndarray, idx_p: np.ndarray, n: int, dtype) -> tuple
     lands at union position m; unions shorter than 2k are padded with the
     out-of-range index n, whose indicator row is all zero on both sides.
     """
-    both = np.sort(np.concatenate([idx_a, idx_p], axis=1), axis=1)
-    # Each repeat becomes the pad index n; a second sort moves pads to the end.
-    both[:, 1:][both[:, 1:] == both[:, :-1]] = n
-    unions = np.sort(both, axis=1)
-    gather_a = (unions[:, :, None] == idx_a[:, None, :]).astype(dtype)
-    gather_p = (unions[:, :, None] == idx_p[:, None, :]).astype(dtype)
+    rows, k = idx_a.shape
+    gather_a, gather_p = np.empty((2, rows, 2 * k, k), dtype=dtype)
+
+    def gather(lo, hi):
+        a, p = idx_a[lo:hi], idx_p[lo:hi]
+        both = np.sort(np.concatenate([a, p], axis=1), axis=1)
+        # Each repeat becomes the pad index n; a second sort moves pads to the end.
+        both[:, 1:][both[:, 1:] == both[:, :-1]] = n
+        unions = np.sort(both, axis=1)[:, :, None]
+        gather_a[lo:hi] = unions == a[:, None, :]
+        gather_p[lo:hi] = unions == p[:, None, :]
+
+    _rows.in_parts(rows, gather)
     return gather_a, gather_p
 
 

@@ -11,6 +11,9 @@ from the descriptors and their kNN indices to the weights, whose backward is
 the closed form of the LLE weights' derivative. Training records it on the
 tape in "through-weights" mode while lambda < 1; ``affine_weight_values``
 and ``batch_topology_vectors`` run it on constants, as every other step does.
+Each anchor's system needs its own rows only, so the forward and the
+backward's per-anchor part run in row ranges across the CPUs (``_rows``);
+the scatter onto shared neighbor rows stays whole: its order fixes the bits.
 The d_T that training uses is the loss graph's
 (``loss.build_loss_graph``); ``batch_topology_vectors`` and
 ``topology_distance`` spell out the definition on dense rows.
@@ -20,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _rows, knn
 from . import autodiff as ad
-from . import knn
 from .errors import DegenerateFitError, InvalidInputError
 
 # Trace-relative Tikhonov term used when a caller does not pick its own.
@@ -60,18 +63,28 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> a
     idx = np.asarray(idx)
     n, k = idx.shape
     dtype = x.value.dtype
-    d = x.value[:n, None, :] - x.value[idx]
-    m = ad.mirrored_gram(d)
-    eps_per_system = np.full(n, eps)
-    if eps == 0.0:
-        eps_per_system[ad.cholesky_failures(np.asarray(m, dtype=np.float64))] = DEFAULT_EPS
     diag = np.arange(k)
-    trace = m[:, diag, diag].sum(axis=-1)
-    nonzero = trace != 0
-    coef = (eps_per_system / k).astype(dtype)
-    m[:, diag, diag] += np.where(nonzero, trace * coef, eps_per_system.astype(dtype))[:, None]
-    lower = ad.cholesky_factor(m)
-    y64 = ad.cho_solve(lower, np.ones((n, k)))
+    d = np.empty((n, k, x.value.shape[1]), dtype=dtype)
+    lower, y64 = np.empty((n, k, k)), np.empty((n, k), order="F")  # y64 as cho_solve lays it out
+    eps_per_system = np.full(n, eps)
+    nonzero, coef = np.empty(n, dtype=bool), np.empty(n, dtype=dtype)
+
+    def fit(lo, hi):
+        np.subtract(x.value[lo:hi, None, :], x.value[idx[lo:hi]], out=d[lo:hi])
+        m = ad.mirrored_gram(d[lo:hi])
+        eps_part = eps_per_system[lo:hi]
+        if eps == 0.0:
+            eps_part[ad.cholesky_failures(np.asarray(m, dtype=np.float64))] = DEFAULT_EPS
+        trace = m[:, diag, diag].sum(axis=-1)
+        nonzero[lo:hi] = trace != 0
+        coef[lo:hi] = eps_part / k
+        shift = np.where(nonzero[lo:hi], trace * coef[lo:hi], eps_part.astype(dtype))
+        m[:, diag, diag] += shift[:, None]
+        lower[lo:hi] = ad.cholesky_factor(m, first=lo)
+        del m
+        y64[lo:hi] = ad.cho_solve(lower[lo:hi], np.ones((hi - lo, k)))
+
+    _rows.in_parts(n, fit)
     y = y64.astype(dtype, copy=False)
     ysum = y.sum(axis=1, keepdims=True)
     denom = ysum.ravel()
@@ -83,11 +96,19 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> a
 
     def back(g):
         g = np.asarray(g, dtype=np.float64)
-        gb = ad.cho_solve(lower, (g - (g * w).sum(axis=1, keepdims=True)) / ysum)
-        # C order keeps the matmul below on BLAS; gb and y64 are column-major
-        grad_s = np.multiply(-gb[:, :, None], y64[:, None, :], order="C")
-        grad_s[:, diag, diag] += (grad_s[:, diag, diag].sum(axis=1) * coef * nonzero)[:, None]
-        grad_d = (grad_s + grad_s.swapaxes(-1, -2)) @ d
+        grad_d = np.empty(d.shape)
+
+        def part(lo, hi):
+            gp = g[lo:hi]
+            rhs = (gp - (gp * w[lo:hi]).sum(axis=1, keepdims=True)) / ysum[lo:hi]
+            gb = ad.cho_solve(lower[lo:hi], rhs)
+            # C order keeps the matmul below on BLAS; gb and y64 are column-major
+            grad_s = np.multiply(-gb[:, :, None], y64[lo:hi, None, :], order="C")
+            trace_g = grad_s[:, diag, diag].sum(axis=1)
+            grad_s[:, diag, diag] += (trace_g * coef[lo:hi] * nonzero[lo:hi])[:, None]
+            np.matmul(grad_s + grad_s.swapaxes(-1, -2), d[lo:hi], out=grad_d[lo:hi])
+
+        _rows.in_parts(n, part)
         grad_x = -ad.scatter_rows(idx, grad_d, x.value.shape)
         grad_x[:n] += grad_d.sum(axis=1)
         x._accumulate(grad_x)
