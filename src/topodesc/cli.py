@@ -88,6 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology", choices=GRADIENT_MODES, default=None, dest="topology_gradient_mode"
     )
     tr.add_argument("--lambda-mode", default=None, help="dynamic or fixed:<value in [0,1]>")
+    tr.add_argument(
+        "--topology-report-every", type=int, default=None,
+        help="compute the logged d_T of a lambda = 1 step only every N iterations",
+    )
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")

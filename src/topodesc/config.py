@@ -35,6 +35,10 @@ class RunConfig:
     "fixed:<value>". topology_gradient_mode selects whether gradients flow
     through the affine fit ("through-weights"), treat the fitted weights as
     constants ("detached"), or skip the topology term entirely ("off").
+    topology_report_every sets how often a lambda == 1 step computes the
+    topology distance it logs: only at iterations that are a multiple of it.
+    The term's weight 1 - lambda is 0 there, so the other steps train as
+    "off" does, to the same bits, and log nan for it.
     """
 
     margin: float = 1.0
@@ -54,6 +58,7 @@ class RunConfig:
     out_dir: str = ""
     precision: str = "double"
     lambda_mode: str = "dynamic"
+    topology_report_every: int = 1
 
     def __post_init__(self):
         if not 0 < self.margin < np.inf:
@@ -89,6 +94,10 @@ class RunConfig:
             raise InvalidArgumentError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
         if self.lambda_mode != "dynamic":
             self.fixed_lambda()
+        if self.topology_report_every < 1:
+            raise InvalidArgumentError(
+                f"topology_report_every must be >= 1, got {self.topology_report_every}"
+            )
 
     def fixed_lambda(self) -> float:
         """The blend value of a "fixed:<value>" lambda_mode, validated."""
@@ -124,6 +133,7 @@ PAPER_PRESET = {
     "lambda_N": 10_000,
     "batch_size": 1024,
     "iterations": 250_000,
+    "topology_report_every": 100,
 }
 
 PRESETS = {"desk": DESK_PRESET, "paper": PAPER_PRESET}

@@ -19,7 +19,11 @@ from .errors import InvalidArgumentError, InvalidBatchError
 
 @dataclass(frozen=True)
 class LossReport:
-    """Per-batch scalars logged at every iteration."""
+    """Per-batch scalars logged at every iteration.
+
+    mean_d_pos_topo is 0.0 in "off" mode, and nan for a lambda == 1 training
+    step that skipped the topology term (RunConfig.topology_report_every).
+    """
 
     loss: float
     lam: float

@@ -81,7 +81,8 @@ def verification_pairs(
     the pair (a_i, p_i) is a match; negatives_per_positive draws of j != i
     give non-matching (a_i, p_j) pairs. Returns the pair distances and their
     match flags: first the n matches in index order, then each anchor's
-    non-matches in draw order.
+    non-matches in draw order. A negatives_per_positive whose draws do not
+    fit in memory raises InvalidArgumentError.
     """
     dist = np.asarray(dist)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -94,8 +95,17 @@ def verification_pairs(
             f"negatives_per_positive must be >= 1, got {negatives_per_positive}"
         )
     rows = np.arange(n)[:, None]
-    draws = rng.integers(0, n - 1, size=(n, negatives_per_positive))
-    distances = np.concatenate([np.diag(dist), dist[rows, draws + (draws >= rows)].ravel()])
+    try:
+        draws = rng.integers(0, n - 1, size=(n, negatives_per_positive))
+        distances = np.concatenate([np.diag(dist), dist[rows, draws + (draws >= rows)].ravel()])
+    except (MemoryError, ValueError):
+        # numpy raises MemoryError for a size it cannot allocate and
+        # ValueError for one past the address space
+        raise InvalidArgumentError(
+            f"negatives_per_positive {negatives_per_positive} asks for "
+            f"{n * negatives_per_positive} non-matching pairs over {n} pairs, "
+            "more than memory holds"
+        ) from None
     return distances, np.arange(distances.size) < n
 
 

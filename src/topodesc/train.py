@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,8 +79,15 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
     use independent child seeds of cfg.seed. Raises
     TrainingDivergenceError the first time descriptors or the loss stop
     being finite.
+
+    A lambda == 1 step whose iteration is not a multiple of
+    cfg.topology_report_every runs as an "off" step: the topology term's
+    weight 1 - lambda is 0, so the weights come out bit-identical, and the
+    kNN, the support unions and the fits are skipped. Its row's
+    mean_d_pos_topo is nan. Iteration 0 and every lambda < 1 step report d_T.
     """
     train_ds = training_split(cfg, dataset)
+    plain_cfg = replace(cfg, topology_gradient_mode="off")
     init_seed, sample_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     net = netmod.init_net(cfg.net_widths, np.random.default_rng(init_seed), dtype=cfg.dtype())
     sample_rng = np.random.default_rng(sample_seed)
@@ -89,13 +97,19 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
     for i in range(cfg.iterations):
         _, batch_a, batch_p = datamod.sample_batch(train_ds, cfg.batch_size, sample_rng)
         lam = lossmod.resolve_lambda(i, cfg)
+        plain = (
+            lam == 1.0
+            and i % cfg.topology_report_every != 0
+            and cfg.topology_gradient_mode != "off"
+        )
+        step_cfg = plain_cfg if plain else cfg
         tape = ad.Tape()
         try:
             leaves = netmod.make_leaves(net, tape)
             desc_a = netmod.forward(net, batch_a, tape, leaves)
             desc_p = netmod.forward(net, batch_p, tape, leaves)
-            structure = lossmod.select_structure(desc_a.value, desc_p.value, cfg)
-            graph = lossmod.build_loss_graph(desc_a, desc_p, lam, cfg, structure, tape)
+            structure = lossmod.select_structure(desc_a.value, desc_p.value, step_cfg)
+            graph = lossmod.build_loss_graph(desc_a, desc_p, lam, step_cfg, structure, tape)
         except (DegenerateDescriptorError, DegenerateFitError, SingularSystemError) as exc:
             raise TrainingDivergenceError(str(exc), i - 1) from exc
         if not np.isfinite(graph.loss.value):
@@ -107,7 +121,7 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
         )
         # Tensor.tape and Tape.nodes form a cycle; break it so the step's graph is freed now.
         tape.nodes.clear()
-        rows.append(graph.report)
+        rows.append(replace(graph.report, mean_d_pos_topo=math.nan) if plain else graph.report)
     return TrainResult(net=net, rows=rows)
 
 

@@ -6,6 +6,8 @@ out of reach on a desk machine, so these are solver-oracle equivalences,
 exact schedule and baseline reductions, and scaled-down training behavior.
 """
 
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -18,6 +20,7 @@ from topodesc.config import RunConfig, resolve_config
 from topodesc.loss import lambda_schedule
 from topodesc.net import embed, init_net
 
+from desk_run import run_desk_seed
 from single_fit import fit_one
 
 
@@ -173,17 +176,37 @@ def desk_dataset():
 
 @pytest.fixture(scope="module")
 def desk_runs(desk_dataset):
-    """Five seeded default-preset runs plus their held-out metric reports."""
-    t0 = time.perf_counter()
-    _, heldout = data.split_train_heldout(desk_dataset)
-    runs = []
-    for seed in range(5):
-        result = train.run_training(RunConfig(seed=seed), dataset=desk_dataset)
-        desc_a = embed(result.net, heldout.views_a)
-        desc_p = embed(result.net, heldout.views_p)
-        report = metrics.evaluate_descriptors(desc_a, desc_p, 10, np.random.default_rng(0))
-        runs.append((result, report))
-    return {"runs": runs, "elapsed": time.perf_counter() - t0}
+    """Five seeded default-preset runs plus their held-out metric reports.
+
+    The runs are independent and deterministic per seed, so they run in
+    min(2, cpu_count) spawned worker processes with one BLAS thread each,
+    while this process repeats seed 0 for the bitwise check. "elapsed" sums
+    the five runs' own times: what running them one after another takes.
+    """
+    with pytest.MonkeyPatch.context() as env:
+        # read by numpy's BLAS when a spawned worker imports it
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.setenv(var, "1")
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(min(2, os.cpu_count() or 1)) as pool:
+            pending = pool.starmap_async(run_desk_seed, [(seed, desk_dataset) for seed in range(5)])
+            in_process = run_desk_seed(0, desk_dataset)
+            done = pending.get(timeout=600)
+            pool.close()
+            pool.join()
+    return {
+        "runs": [(result, report) for result, report, _ in done],
+        "elapsed": sum(seconds for _, _, seconds in done),
+        "in_process": in_process[:2],
+    }
+
+
+def test_desk_runs_in_workers_match_an_in_process_run(desk_runs):
+    (worker, worker_report), (local, local_report) = desk_runs["runs"][0], desk_runs["in_process"]
+    for a, b in zip(worker.net.weights + worker.net.biases, local.net.weights + local.net.biases):
+        assert a.tobytes() == b.tobytes()
+    assert worker.rows == local.rows
+    assert worker_report == local_report
 
 
 # ---------------------------------------------------------------- criterion 5

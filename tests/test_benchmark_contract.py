@@ -8,6 +8,7 @@ files.
 """
 
 import importlib.util
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,8 +59,13 @@ def traced_run_passes_the_checks(monkeypatch, ds, cfg):
         "loss.select_structure", "loss.build_loss_graph", "autodiff.backward", "knn.pairwise_distances"
     ):
         assert names.count(name) == cfg.iterations, name
-    # one span per view: no split part calls a wrapped name
-    assert names.count("knn.neighbor_index_matrix") == 2 * cfg.iterations
+    # one span per view of each step that reports d_T: no split part calls a wrapped name
+    reporting = [
+        i for i in range(cfg.iterations)
+        if loss.resolve_lambda(i, cfg) < 1.0 or i % cfg.topology_report_every == 0
+    ]
+    assert [i for i, r in enumerate(result.rows) if not math.isnan(r.mean_d_pos_topo)] == reporting
+    assert names.count("knn.neighbor_index_matrix") == 2 * len(reporting)
     assert not any(s.error for s in tracer.spans)
 
     va, vp = captured[0]
@@ -94,4 +100,18 @@ def test_traced_run_split_across_threads(monkeypatch):
         iterations=2,
         lambda_mode="fixed:0.5",
     )
+    traced_run_passes_the_checks(monkeypatch, ds, cfg)
+
+
+def test_traced_run_skipping_d_t_between_reports(monkeypatch):
+    """perfbench's traced paper-step: λ = 1 steps that skip the topology term."""
+    ds = data.generate(5, 48, 6, 0.6, 0.3)
+    cfg = replace(
+        config.resolve_config("paper", {}, {"seed": 5}),
+        net_widths=(6, 12, 8),
+        batch_size=16,
+        k=4,
+        iterations=4,
+    )
+    assert cfg.topology_report_every > cfg.iterations
     traced_run_passes_the_checks(monkeypatch, ds, cfg)

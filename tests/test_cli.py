@@ -131,6 +131,7 @@ FIELD_VALUES = {
     "seed": 7,
     "precision": "single",
     "lambda_mode": "fixed:0.25",
+    "topology_report_every": 5,
 }
 
 
@@ -438,6 +439,13 @@ class TestEval:
         assert re.search(r"mAP = [0-9.]", first)
         assert "n_pos = 12" in first
         assert "n_neg = 48" in first
+
+    def test_draws_past_the_address_space_exit_2(self, workspace, capsys):
+        argv = ["eval", "--checkpoint", str(workspace["checkpoint"])]
+        argv += ["--dataset", str(workspace["noisy"]), "--negatives-per-positive", str(2**61)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: negatives_per_positive {2**61} "), err
 
     def test_identical_views_give_zero_fpr(self, workspace, capsys):
         code = cli.main(
@@ -750,6 +758,7 @@ def test_bad_argument_exits_2_with_one_error_line(
         (["--lambda-floor", "0"], {"lambda_floor": 0.0}),
         (["--lambda-floor", "1.5"], {"lambda_floor": 1.5}),
         (["--config", "{bad_topology}"], {"topology_gradient_mode": "sometimes"}),
+        (["--topology-report-every", "0"], {"topology_report_every": 0}),
     ],
     ids=[
         "margin",
@@ -760,6 +769,7 @@ def test_bad_argument_exits_2_with_one_error_line(
         "lambda-floor-0",
         "lambda-floor-1.5",
         "config-topology",
+        "topology-report-every",
     ],
 )
 def test_train_flag_fails_the_run_config_check(flags, values, workspace, tmp_path, capsys):

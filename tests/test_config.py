@@ -27,6 +27,7 @@ DESK_CONFIG_TXT = "".join(
         "out_dir = ",
         "precision = double",
         "lambda_mode = dynamic",
+        "topology_report_every = 1",
     )
 )
 
@@ -36,9 +37,10 @@ PAPER_CONFIG_TXT = (
     .replace("lambda_N = 100\n", "lambda_N = 10000\n")
     .replace("batch_size = 64\n", "batch_size = 1024\n")
     .replace("iterations = 2000\n", "iterations = 250000\n")
+    .replace("topology_report_every = 1\n", "topology_report_every = 100\n")
 )
 
-# Each check on the margin, k, schedule and gradient-mode fields, with its message.
+# Each check on the margin, k, schedule, gradient-mode and report-cadence fields, with its message.
 FIELD_CHECKS = [
     ({"margin": 0.0}, "margin must be positive and finite, got 0.0"),
     ({"margin": np.inf}, "margin must be positive and finite, got inf"),
@@ -53,6 +55,7 @@ FIELD_CHECKS = [
         "topology_gradient_mode must be one of ('through-weights', 'detached', 'off'), "
         "got 'sometimes'",
     ),
+    ({"topology_report_every": 0}, "topology_report_every must be >= 1, got 0"),
 ]
 
 
@@ -204,6 +207,7 @@ class TestResolve:
         assert cfg.lambda_N == 10_000
         assert cfg.batch_size == 1024
         assert cfg.iterations == 250_000
+        assert cfg.topology_report_every == 100
 
     def test_desk_preset_is_the_default_config(self):
         assert C.resolve_config(preset="desk") == C.RunConfig()

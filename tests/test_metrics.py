@@ -229,6 +229,25 @@ class TestVerificationPairs:
         with pytest.raises(InvalidArgumentError):
             metrics.verification_pairs(pairwise_distances(a, a), 0, np.random.default_rng(0))
 
+    def test_draws_past_the_address_space_are_an_argument_error(self):
+        # numpy rejects this size before allocating anything
+        a = unit_rows(np.random.default_rng(9), 4, 4)
+        with pytest.raises(InvalidArgumentError) as info:
+            metrics.verification_pairs(pairwise_distances(a, a), 2**61, np.random.default_rng(0))
+        assert str(info.value) == (
+            f"negatives_per_positive {2**61} asks for {4 * 2**61} non-matching pairs "
+            "over 4 pairs, more than memory holds"
+        )
+
+    def test_draws_that_cannot_be_allocated_are_an_argument_error(self):
+        class NoMemory:
+            def integers(self, *args, **kwargs):
+                raise MemoryError("Unable to allocate")
+
+        a = unit_rows(np.random.default_rng(9), 4, 4)
+        with pytest.raises(InvalidArgumentError, match="negatives_per_positive 1000 asks for 4000"):
+            metrics.verification_pairs(pairwise_distances(a, a), 1000, NoMemory())
+
 
 class TestEvaluateDescriptors:
     def test_identical_views_are_perfect(self):

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -175,6 +176,56 @@ class TestRunTraining:
             train.run_training(tiny_config(batch_size=9), dataset=ds)
 
 
+def assert_same_weights(a, b):
+    for wa, wb in zip(a.net.weights + a.net.biases, b.net.weights + b.net.biases):
+        assert wa.tobytes() == wb.tobytes()
+
+
+class TestTopologyReportEvery:
+    """λ = 1 steps between d_T reports train as "off" steps, to the same bits."""
+
+    @pytest.mark.parametrize("mode", ["through-weights", "detached"])
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_skipped_steps_leave_weights_and_rows_unchanged(self, precision, mode):
+        # steps 0-4 run at λ = 1, steps 5-11 below it; 1, 2 and 4 skip d_T
+        ds = tiny_dataset()
+        every = tiny_config(precision=precision, topology_gradient_mode=mode)
+        sparse = replace(every, topology_report_every=3)
+        assert [resolve_lambda(i, every) for i in (4, 5)] == [1.0, 1.0 - every.lambda_r]
+        want = train.run_training(every, dataset=ds)
+        got = train.run_training(sparse, dataset=ds)
+        assert_same_weights(got, want)
+        skipped = []
+        for i, (g, w) in enumerate(zip(got.rows, want.rows)):
+            if w.lam == 1.0 and i % 3 != 0:
+                skipped.append(i)
+                assert math.isnan(g.mean_d_pos_topo)
+                assert replace(g, mean_d_pos_topo=w.mean_d_pos_topo) == w
+            else:
+                assert g == w
+                assert math.isfinite(g.mean_d_pos_topo) and g.mean_d_pos_topo > 0.0
+        assert skipped == [1, 2, 4]
+
+    def test_off_mode_keeps_reporting_zero(self):
+        cfg = tiny_config(topology_gradient_mode="off", topology_report_every=3)
+        result = train.run_training(cfg, dataset=tiny_dataset())
+        assert [r.mean_d_pos_topo for r in result.rows] == [0.0] * cfg.iterations
+
+    @pytest.mark.parametrize("mode", ["through-weights", "detached"])
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_off_and_fixed_one_train_identical_weights(self, precision, mode):
+        ds = tiny_dataset()
+        off = train.run_training(
+            tiny_config(precision=precision, topology_gradient_mode="off"), dataset=ds
+        )
+        fixed = train.run_training(
+            tiny_config(precision=precision, topology_gradient_mode=mode, lambda_mode="fixed:1.0"),
+            dataset=ds,
+        )
+        assert_same_weights(off, fixed)
+        assert [replace(r, mean_d_pos_topo=0.0) for r in fixed.rows] == off.rows
+
+
 class TestLog:
     def test_header_and_round_trip(self, tmp_path):
         result = train.run_training(tiny_config(), dataset=tiny_dataset())
@@ -186,9 +237,19 @@ class TestLog:
             back = list(csv.DictReader(fh))
         assert len(back) == len(result.rows)
         for i, (row, rep) in enumerate(zip(back, result.rows)):
+            assert float(row["mean_d_pos_topo"]) == rep.mean_d_pos_topo
             assert int(row["iteration"]) == i
             # repr-encoded floats survive the round trip exactly
             assert float(row["loss"]) == rep.loss
             assert float(row["lambda"]) == rep.lam
             assert float(row["mean_d_neg"]) == rep.mean_d_neg
             assert int(row["active_triplets"]) == rep.active_triplets
+
+    def test_skipped_d_t_reads_back_as_nan(self, tmp_path):
+        result = train.run_training(tiny_config(topology_report_every=3), dataset=tiny_dataset())
+        path = tmp_path / "train_log.csv"
+        train.write_log(result.rows, str(path))
+        with open(path, newline="") as fh:
+            back = [row["mean_d_pos_topo"] for row in csv.DictReader(fh)]
+        assert back[1] == "nan" and math.isnan(float(back[1]))
+        assert float(back[0]) == result.rows[0].mean_d_pos_topo
