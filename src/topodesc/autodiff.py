@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import SingularSystemError
+from .errors import DegenerateDescriptorError, SingularSystemError
 
 
 class Tape:
@@ -152,18 +152,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return node(a.tape or b.tape, value, (a, b), back)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    value = a.value / b.value
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.value, a.value.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * value / b.value, b.value.shape))
-
-    return node(a.tape or b.tape, value, (a, b), back)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     value = a.value @ b.value
 
@@ -174,15 +162,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape))
 
     return node(a.tape or b.tape, value, (a, b), back)
-
-
-def transpose(a: Tensor) -> Tensor:
-    value = a.value.swapaxes(-1, -2)
-
-    def back(g):
-        a._accumulate(g.swapaxes(-1, -2))
-
-    return node(a.tape, value, (a,), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -221,15 +200,6 @@ def sqrt_(a: Tensor) -> Tensor:
     def back(g):
         safe = np.where(a.value > 0, value, 1.0)
         a._accumulate(np.where(a.value > 0, 0.5 * g / safe, 0.0))
-
-    return node(a.tape, value, (a,), back)
-
-
-def tanh_(a: Tensor) -> Tensor:
-    value = np.tanh(a.value)
-
-    def back(g):
-        a._accumulate(g * (1.0 - value * value))
 
     return node(a.tape, value, (a,), back)
 
@@ -273,6 +243,61 @@ def scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.n
     rows, width = shape[0], math.prod(shape[1:])
     slots = (idx.reshape(-1, 1) % rows) * width + np.arange(width)
     return np.bincount(slots.ravel(), weights=g.reshape(-1), minlength=rows * width).reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# fused layers of the embedding net
+#
+# Each records one node where the op-by-op composition recorded several, and
+# its backward runs that composition's numpy ops in the same order, so the
+# gradients are bitwise the same.
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
+    """x @ w^T + b, then tanh when activation is "tanh"; w is (out, in), b is (out,)."""
+    value = x.value @ w.value.swapaxes(-1, -2) + b.value
+    if activation == "tanh":
+        value = np.tanh(value)
+
+    def back(g):
+        if activation == "tanh":
+            g = g * (1.0 - value * value)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.value.shape))
+        if x.requires_grad:
+            x._accumulate(g @ w.value)
+        if w.requires_grad:
+            w._accumulate((x.value.swapaxes(-1, -2) @ g).swapaxes(-1, -2))
+
+    return node(x.tape or w.tape, value, (x, w, b), back)
+
+
+def normalize_rows(x: Tensor) -> Tensor:
+    """Each row of x divided by its Euclidean norm.
+
+    A row whose squared norm is zero or not finite raises
+    DegenerateDescriptorError naming the first such row; nothing is divided.
+    """
+    sq = (x.value * x.value).sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(sq)):
+        bad = int(np.flatnonzero(~np.isfinite(sq.ravel()))[0])
+        raise DegenerateDescriptorError(f"non-finite descriptor at row {bad}")
+    if np.any(sq == 0):
+        bad = int(np.flatnonzero(sq.ravel() == 0)[0])
+        raise DegenerateDescriptorError(f"zero-norm descriptor at row {bad}")
+    norm = np.sqrt(sq)
+    value = x.value / norm
+
+    def back(g):
+        # the quotient's two parents, then the norm's sqrt, sum and square x * x
+        x._accumulate(g / norm)
+        g_norm = _unbroadcast(-g * value / norm, norm.shape)
+        g_sq = np.where(sq > 0, 0.5 * g_norm / np.where(sq > 0, norm, 1.0), 0.0)
+        g_xx = np.broadcast_to(g_sq, x.value.shape)
+        x._accumulate(g_xx * x.value)
+        x._accumulate(g_xx * x.value)
+
+    return node(x.tape, value, (x,), back)
 
 
 # ---------------------------------------------------------------------------

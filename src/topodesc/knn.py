@@ -1,14 +1,17 @@
-"""Batch pairwise distances over unit descriptors and exact top-k selection.
+"""Dot products and distances of unit descriptors, and exact top-k selection.
 
 Distances use the dot-product identity d(x, y) = sqrt(2 - 2 x.y), valid for
-unit-length rows; one whole product (BLAS rounds a block of its rows
-differently) and one in-place conversion serve both entry points. Selection
-is exact and runs on the raw product, since the distance only ever grows as
-the dot product falls: a per-row partial selection of the k nearest, ordered
-by (distance, index), converts only the k candidates and the (k+1)-th
-nearest to distances, and any row whose k-th distance is shared by an entry
-left outside is re-sorted in full. Everything after the product is per row
-and runs in row ranges across the CPUs (``_rows``).
+unit-length rows. unit_product forms one whole product (BLAS rounds a block
+of its rows differently) and to_distance converts in place. The negative
+miner (loss.hardest_negatives) and the selection below read the product
+and convert only the entries they pick; pairwise_distances, which converts
+all of it, serves eval. Selection is exact and runs on the raw product,
+since the distance only ever grows as the dot product falls: a per-row
+partial selection of the k nearest, ordered by (distance, index), converts
+only the k candidates and the (k+1)-th nearest to distances, and any row
+whose k-th distance is shared by an entry left outside is re-sorted in
+full. Everything after the product is per row and runs in row ranges
+across the CPUs (``_rows``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ def _check_unit_rows(x: np.ndarray, name: str) -> None:
         )
 
 
-def _unit_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def unit_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The (n, m) dot products x_i.y_j of two validated unit-row matrices.
 
     Passing the same array twice validates it once and computes the same
@@ -57,7 +60,7 @@ def _unit_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ (x.copy() if same else y).T
 
 
-def _to_distance(g: np.ndarray) -> np.ndarray:
+def to_distance(g: np.ndarray) -> np.ndarray:
     """sqrt(2 - 2 g) of dot products g, in place; 2 + (-2 g) rounds exactly like 2 - 2 g."""
     np.clip(g, -1.0, 1.0, out=g)
     g *= -2.0
@@ -71,8 +74,8 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Entry (i, j) is sqrt(2 - 2 x_i.y_j); dot products are clamped to [-1, 1]
     first, so 2 - 2 x_i.y_j is exactly >= 0 and rounding cannot produce NaN.
     """
-    g = _unit_product(x, y)
-    _rows.in_parts(g.shape[0], lambda lo, hi: _to_distance(g[lo:hi]))
+    g = unit_product(x, y)
+    _rows.in_parts(g.shape[0], lambda lo, hi: to_distance(g[lo:hi]))
     return g
 
 
@@ -98,7 +101,7 @@ def neighbor_index_matrix(x: np.ndarray, k: int) -> np.ndarray:
     n = x.shape[0]
     if not 1 <= k <= n - 1:
         raise InvalidArgumentError(f"k must be in [1, n-1] = [1, {n - 1}], got {k}")
-    g = _unit_product(x, x)
+    g = unit_product(x, x)
     idx = np.empty((n, k), dtype=np.intp)
 
     def select(lo, hi):
@@ -111,7 +114,7 @@ def neighbor_index_matrix(x: np.ndarray, k: int) -> np.ndarray:
             part[chunk] = np.argpartition(gp[chunk], k, axis=1)[:, : k + 1]
         part[:, :k].sort(axis=1)
         dist = np.take_along_axis(gp, part, axis=1)
-        dist = _to_distance(np.negative(dist, out=dist))
+        dist = to_distance(np.negative(dist, out=dist))
         # with k = n - 1 the (k+1)-th entry is the row itself, at +inf, which cuts no run
         dist[part[:, k] == rows, k] = np.inf
         order = np.argsort(dist[:, :k], axis=1, kind="stable")
@@ -119,7 +122,7 @@ def neighbor_index_matrix(x: np.ndarray, k: int) -> np.ndarray:
         cut = np.flatnonzero(dist[:, k] <= dist[:, :k].max(axis=1))
         if cut.size:
             full = gp[cut]
-            full = _to_distance(np.negative(full, out=full))
+            full = to_distance(np.negative(full, out=full))
             full[np.arange(cut.size), cut + lo] = np.inf
             idx[cut + lo] = np.argsort(full, axis=1, kind="stable")[:, :k]
 

@@ -57,32 +57,58 @@ def resolve_lambda(iteration: int, cfg: RunConfig) -> float:
     return cfg.fixed_lambda()
 
 
-def hardest_negatives(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# Products closer than this to a line's largest may round to its smallest
+# distance: equal distances need products within 1.2e-15 of each other.
+_TIE_TOL = 1e-12
+
+
+def _first_nearest(group: np.ndarray, other: np.ndarray, dist: np.ndarray, n: int):
+    """For each group 0..n-1, the `other` index and distance of its nearest candidate.
+
+    Ties break toward the lower `other` index. Every group has a candidate.
+    """
+    order = np.lexsort((other, dist, group))
+    first = order[np.searchsorted(group[order], np.arange(n))]
+    return other[first], dist[first]
+
+
+def hardest_negatives(va: np.ndarray, vp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hardest in-batch negative pair (neg_u[i], neg_v[i]) for every anchor i.
 
-    cross[i, j] is the distance between anchor i and positive j. Anchor i's
-    negative is the smallest off-diagonal entry in row i or column i. Ties
-    break toward the anchor's own row, then the lower index.
+    With d(i, j) = knn.pairwise_distances(va, vp)[i, j], anchor i's negative
+    is the nearest pair (i, j) or (m, i) with j != i and m != i. Ties break
+    toward the anchor's own row, then the lower index.
 
-    The diagonal of cross is overwritten with +inf to mask the matched
-    pairs; no other entry changes.
+    Mining runs on the dot products, with the matched pairs at -inf: the
+    distance never grows as the product grows, so each row's and column's
+    nearest is among its products within _TIE_TOL of its largest (clamped to
+    1, as the distance clips it; all of them once that reaches -1, where
+    every product clips to distance 2). Only those candidates become
+    distances, by the same elementwise conversion, so ties are ties of the
+    computed distances.
     """
-    n = cross.shape[0]
+    g = knn.unit_product(va, vp)
+    n = g.shape[0]
     if n < 2:
         raise InvalidBatchError(f"need a batch of >= 2 to mine negatives, got {n}")
-    np.fill_diagonal(cross, np.inf)
-    row_j, col_m = np.empty((2, n), dtype=np.intp)
-
-    def mine(lo, hi):
-        row_j[lo:hi] = np.argmin(cross[lo:hi], axis=1)
-        # argmin down the columns of a C-order matrix is slow; the first row
-        # holding the column min is the same index
-        cols = cross[:, lo:hi]
-        col_m[lo:hi] = np.argmax(cols == cols.min(axis=0), axis=0)
-
-    _rows.in_parts(n, mine)
+    np.fill_diagonal(g, -np.inf)
+    lowest = np.finfo(g.dtype).min  # below every product, above the masked diagonal
+    t_row = np.minimum(g.max(axis=1), 1.0) - _TIE_TOL
+    t_col = np.minimum(g.max(axis=0), 1.0) - _TIE_TOL
+    t_row[t_row <= -1.0] = lowest
+    t_col[t_col <= -1.0] = lowest
+    mask = g >= t_row[:, None]
+    mask |= g >= t_col
+    flat = np.flatnonzero(mask)
+    i, j = np.divmod(flat, n)
+    product = g.ravel()[flat]
+    in_row = product >= t_row[i]
+    in_col = product >= t_col[j]
+    dist = knn.to_distance(product)
+    row_j, row_d = _first_nearest(i[in_row], j[in_row], dist[in_row], n)
+    col_m, col_d = _first_nearest(j[in_col], i[in_col], dist[in_col], n)
     rows = np.arange(n)
-    use_row = cross[rows, row_j] <= cross[col_m, rows]
+    use_row = row_d <= col_d
     return np.where(use_row, rows, col_m), np.where(use_row, row_j, rows)
 
 
@@ -146,7 +172,7 @@ def select_structure(va: np.ndarray, vp: np.ndarray, cfg: RunConfig) -> LossStru
     if va.shape != vp.shape:
         raise InvalidBatchError(f"descriptor sets must match, got {va.shape} vs {vp.shape}")
     n = va.shape[0]
-    neg_u, neg_v = hardest_negatives(knn.pairwise_distances(va, vp))
+    neg_u, neg_v = hardest_negatives(va, vp)
     st = LossStructure(n=n, k=cfg.k, neg_u=neg_u, neg_v=neg_v)
     if cfg.topology_gradient_mode != "off":
         if not cfg.k <= n - 1:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DatasetFormatError, DegenerateDescriptorError, InvalidInputError
+from .errors import DatasetFormatError, InvalidInputError
 
 CHECKPOINT_MAGIC = b"TCD1"
 
@@ -106,20 +106,8 @@ def forward(
         raise InvalidInputError("patches contain non-finite values")
     x = ad.constant(tape, patches.astype(net.dtype, copy=False))
     for i, tag in enumerate(net.activations):
-        w = leaves[f"layer{i}.weight"]
-        b = leaves[f"layer{i}.bias"]
-        x = ad.add(ad.matmul(x, ad.transpose(w)), b)
-        if tag == "tanh":
-            x = ad.tanh_(x)
-    sq = ad.sum_(ad.mul(x, x), axis=1, keepdims=True)
-    pre = sq.value
-    if not np.all(np.isfinite(pre)):
-        bad = int(np.flatnonzero(~np.isfinite(pre.ravel()))[0])
-        raise DegenerateDescriptorError(f"non-finite descriptor at row {bad}")
-    if np.any(pre == 0):
-        bad = int(np.flatnonzero(pre.ravel() == 0)[0])
-        raise DegenerateDescriptorError(f"zero-norm descriptor at row {bad}")
-    return ad.div(x, ad.sqrt_(sq))
+        x = ad.dense(x, leaves[f"layer{i}.weight"], leaves[f"layer{i}.bias"], tag)
+    return ad.normalize_rows(x)
 
 
 def embed(net: EmbeddingNet, patches: np.ndarray) -> np.ndarray:

@@ -37,6 +37,9 @@ REMOVED = [
     (topodesc, "LossConfig"),
     (loss, "LossConfig"),
     (train, "resolve_lambda"),
+    (autodiff, "div"),
+    (autodiff, "transpose"),
+    (autodiff, "tanh_"),
     *[(autodiff.Tensor, op) for op in TENSOR_OPERATORS],
 ]
 

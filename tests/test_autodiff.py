@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from topodesc import autodiff as ad
-from topodesc.errors import SingularSystemError
+from topodesc.errors import DegenerateDescriptorError, SingularSystemError
+
+from recorded_net import div, tanh_, transpose
 
 
 def fd_gradients(fn, arrays, step=1e-6):
@@ -63,7 +65,7 @@ class TestElementwise:
         b = rng.standard_normal((4, 3)) + 3.0
 
         def fn(tape, x, y):
-            return ad.sum_(ad.div(ad.mul(ad.add(x, y), ad.sub(x, y)), y))
+            return ad.sum_(div(ad.mul(ad.add(x, y), ad.sub(x, y)), y))
 
         check(fn, a, b)
 
@@ -81,7 +83,31 @@ class TestElementwise:
     def test_tanh(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((3, 3))
-        check(lambda tape, x: ad.sum_(ad.tanh_(x)), a)
+        check(lambda tape, x: ad.sum_(tanh_(x)), a)
+
+    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    def test_dense(self, activation):
+        rng = np.random.default_rng(30)
+        x, w, b = rng.standard_normal((5, 3)), rng.standard_normal((4, 3)), rng.standard_normal(4)
+
+        def fn(tape, x, w, b):
+            y = ad.dense(x, w, b, activation)
+            return ad.sum_(ad.mul(y, y))
+
+        check(fn, x, w, b)
+
+    def test_normalize_rows(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((4, 3))
+        weights = rng.standard_normal((4, 3))
+        check(lambda tape, x: ad.sum_(ad.mul(ad.normalize_rows(x), ad.constant(tape, weights))), x)
+
+    @pytest.mark.parametrize("row, message", [(1, "zero-norm descriptor at row 1"), (2, "non-finite")])
+    def test_normalize_rows_rejects_what_it_cannot_divide(self, row, message):
+        x = np.ones((3, 2))
+        x[row] = 0.0 if message.startswith("zero") else np.inf
+        with pytest.raises(DegenerateDescriptorError, match=message):
+            ad.normalize_rows(ad.constant(ad.Tape(), x))
 
     def test_sqrt_away_from_zero(self):
         rng = np.random.default_rng(4)
@@ -160,7 +186,7 @@ class TestShapeOps:
         a = rng.standard_normal((3, 4))
 
         def fn(tape, x):
-            t = ad.transpose(x)
+            t = transpose(x)
             r = ad.reshape(t, (2, 6))
             return ad.sum_(ad.mul(r, r))
 
@@ -230,7 +256,7 @@ class TestBatchedFitOps:
         def fn(tape, x):
             # symmetrize the perturbed input so the FD probe stays in the
             # symmetric matrix family the solver assumes
-            sym = ad.mul(ad.add(x, ad.transpose(x)), ad.constant(tape, np.asarray(0.5)))
+            sym = ad.mul(ad.add(x, transpose(x)), ad.constant(tape, np.asarray(0.5)))
             y = ad.solve_chol_batched(sym, np.ones(3))
             return ad.sum_(ad.mul(y, y))
 

@@ -47,18 +47,22 @@ class TestGradCheck:
         assert a == b
 
     def test_crooked_derivative_is_caught(self, monkeypatch):
-        # value-preserving activation whose recorded derivative is 2% off:
-        # the difference quotient probes the true function, so the check
-        # must report an error well above tolerance
-        real_tanh = ad.tanh_
+        # the fused layer node that training records, with its tanh
+        # derivative 2% off: the difference quotient probes the true
+        # function, so the check must report an error well above tolerance
+        real_dense = ad.dense
+        crooked_layers = []
 
-        def crooked(t):
-            scale = ad.constant(t.tape, np.asarray(1.02, dtype=t.value.dtype))
-            scaled = ad.mul(real_tanh(t), scale)
-            offset = ad.constant(t.tape, -0.02 * np.tanh(t.value))
-            return ad.add(scaled, offset)
+        def crooked(x, w, b, activation):
+            out = real_dense(x, w, b, activation)
+            if activation == "tanh" and out._backward is not None:
+                back = out._backward
+                out._backward = lambda g: back(1.02 * g)
+                crooked_layers.append(out)
+            return out
 
-        monkeypatch.setattr(ad, "tanh_", crooked)
+        monkeypatch.setattr(ad, "dense", crooked)
         net, xa, xp, cfg = make_problem("through-weights", seed=3)
         report = gradcheck.grad_check(net, xa, xp, cfg, lam=0.5)
+        assert len(crooked_layers) == 2  # the hidden layer of both views
         assert report.max_relative_error > 1e-4

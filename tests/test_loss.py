@@ -134,67 +134,145 @@ def brute_hardest(i, cross):
     return best
 
 
+def distance_matrix_miner(va, vp):
+    """The miner on the whole distance matrix: masked argmin of rows and of columns."""
+    cross = knn.pairwise_distances(va, vp)
+    n = cross.shape[0]
+    np.fill_diagonal(cross, np.inf)
+    row_j = np.argmin(cross, axis=1)
+    col_m = np.argmin(cross, axis=0)
+    rows = np.arange(n)
+    use_row = cross[rows, row_j] <= cross[col_m, rows]
+    return np.where(use_row, rows, col_m), np.where(use_row, row_j, rows)
+
+
+def assert_mines_like_the_distance_matrix(va, vp):
+    got = L.hardest_negatives(va, vp)
+    want = distance_matrix_miner(va, vp)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    return got
+
+
+def quantized_rows(rng, n, d):
+    """Unit rows rounded to one decimal: few distinct products, many exact ties."""
+    x = np.round(unit_rows(rng, n, d), 1)
+    x[np.all(x == 0, axis=1), 0] = 1.0
+    return x / np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+
+
+def one_ulp_pair():
+    """va[0]'s products with vp[1] and vp[2] one ulp apart, rounding to one distance."""
+    # in [0.25, 0.5) a product's ulp is a quarter of 2 - 2 g's, so neighbours often collide
+    p = next(
+        p for p in np.random.default_rng(12).uniform(0.26, 0.49, 100)
+        if knn.to_distance(np.array([p])) == knn.to_distance(np.array([np.nextafter(p, 1.0)]))
+    )
+    q = np.nextafter(p, 1.0)
+    va = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    vp = np.array([[-1.0, 0.0], [p, np.sqrt(1.0 - p * p)], [q, np.sqrt(1.0 - q * q)]])
+    return va, vp
+
+
+# Each case lists the pairs it is built to produce: (anchor, neg_u, neg_v).
+HAND_CASES = {
+    # products at 1 + 4e-7 and 1 + 8e-7 both clip to distance 0: the lower index wins
+    "products_above_one": (
+        np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1.0, 0.0]]),
+        np.array([[0.0, 1.0], [1.0 + 4e-7, 0.0], [1.0 + 8e-7, 0.0], [0.6, 0.8]]),
+        [(0, 0, 1)],
+    ),
+    # every product at or below -1: all distances are 2, and the anchor's own row wins
+    "products_at_or_below_minus_one": (
+        np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]),
+        np.array([[-1.0 - 5e-7, 0.0], [-1.0, 0.0], [-1.0 - 9e-7, 0.0]]),
+        [(0, 0, 1), (1, 1, 0), (2, 2, 0)],
+    ),
+    # the row's largest product is one ulp above -1, yet rounds to distance 2
+    # like the lower-index product far below -1
+    "largest_product_one_ulp_above_minus_one": (
+        np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+        np.array([
+            [0.0, -1.0],
+            [-1.0 - 9e-7, 0.0],
+            [np.nextafter(-1.0, 0.0), np.sqrt(1.0 - np.nextafter(-1.0, 0.0) ** 2)],
+        ]),
+        [(0, 0, 1)],
+    ),
+    "one_ulp_apart": (*one_ulp_pair(), [(0, 0, 1)]),
+}
+
+
 class TestHardestNegative:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             n = int(rng.integers(2, 12))
-            cross = rng.uniform(0.1, 2.0, size=(n, n))
-            neg_u, neg_v = L.hardest_negatives(cross)
+            va, vp = unit_rows(rng, n, 3), unit_rows(rng, n, 3)
+            cross = knn.pairwise_distances(va, vp)
+            neg_u, neg_v = L.hardest_negatives(va, vp)
             for i in range(n):
                 bd, bu, bv = brute_hardest(i, cross)
                 assert cross[neg_u[i], neg_v[i]] == bd
                 assert (neg_u[i], neg_v[i]) == (bu, bv)
 
     def test_two_element_batch(self):
-        cross = np.array([[0.0, 0.7], [0.3, 0.0]])
-        neg_u, neg_v = L.hardest_negatives(cross)
+        # d(0, 1) = sqrt(2) and d(1, 0) = sqrt(0.4): both anchors take (1, 0)
+        va = np.array([[1.0, 0.0], [0.0, 1.0]])
+        vp = np.array([[0.6, 0.8], [0.0, -1.0]])
+        neg_u, neg_v = L.hardest_negatives(va, vp)
         assert (neg_u[0], neg_v[0]) == (1, 0)
         assert (neg_u[1], neg_v[1]) == (1, 0)
 
     def test_tie_prefers_own_row(self):
-        cross = np.full((3, 3), 0.5)
-        neg_u, neg_v = L.hardest_negatives(cross)
+        # every unmatched pair of orthogonal axes lies at distance sqrt(2)
+        neg_u, neg_v = L.hardest_negatives(np.eye(3), np.eye(3))
         assert (neg_u[1], neg_v[1]) == (1, 0)
 
     def test_tie_prefers_lower_index(self):
-        cross = np.array([[0.0, 0.5, 0.5], [9.0, 0.0, 9.0], [9.0, 9.0, 0.0]])
-        neg_u, neg_v = L.hardest_negatives(cross)
+        va = np.eye(3)
+        vp = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.6, 0.0, 0.8]])
+        neg_u, neg_v = L.hardest_negatives(va, vp)
         assert (neg_u[0], neg_v[0]) == (0, 1)
 
     def test_batch_too_small(self):
         with pytest.raises(InvalidBatchError):
-            L.hardest_negatives(np.zeros((1, 1)))
+            L.hardest_negatives(np.eye(1), np.eye(1))
 
-    def test_overwrites_only_the_diagonal(self):
+    def test_leaves_its_inputs_unchanged(self):
         rng = np.random.default_rng(7)
-        cross = rng.uniform(0.1, 2.0, (9, 9))
-        before = cross.copy()
-        L.hardest_negatives(cross)
-        assert np.all(cross.diagonal() == np.inf)
-        off = ~np.eye(9, dtype=bool)
-        assert cross[off].tobytes() == before[off].tobytes()
+        va, vp = unit_rows(rng, 9, 4), unit_rows(rng, 9, 4)
+        before = va.tobytes(), vp.tobytes()
+        L.hardest_negatives(va, vp)
+        assert (va.tobytes(), vp.tobytes()) == before
 
     def test_column_tie_runs_match_argmin(self):
-        """The miner that masked a copy of its argument is the oracle.
-
-        With few distinct values most columns hold their min several times;
-        distinct values run up to the paper's batch size.
-        """
+        """Quantized descriptors tie in long runs down the columns and along the rows."""
         rng = np.random.default_rng(5)
-        few = [rng.integers(0, 4, size=(n, n)).astype(float) for n in (2, 3, 17, 256)]
-        distinct = [rng.uniform(0.1, 2.0, size=(n, n)) for n in (2, 17, 1024)]
-        for cross in few + distinct:
-            n = cross.shape[0]
-            masked = cross.copy()
-            np.fill_diagonal(masked, np.inf)
-            row_j = np.argmin(masked, axis=1)
-            col_m = np.argmin(masked, axis=0)
-            rows = np.arange(n)
-            use_row = masked[rows, row_j] <= masked[col_m, rows]
-            neg_u, neg_v = L.hardest_negatives(cross)
-            np.testing.assert_array_equal(neg_u, np.where(use_row, rows, col_m))
-            np.testing.assert_array_equal(neg_v, np.where(use_row, row_j, rows))
+        for n in (2, 3, 17, 255, 256, 257, 1024):
+            for dim in (1, 2, 3):
+                va = quantized_rows(rng, n, dim)
+                assert_mines_like_the_distance_matrix(va, quantized_rows(rng, n, dim))
+                assert_mines_like_the_distance_matrix(va, va[rng.permutation(n)])
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 255, 256, 257, 1024])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_distance_matrix_miner(self, n, dtype):
+        rng = np.random.default_rng(n)
+        for dim in (2, 8, 32):
+            va = unit_rows(rng, n, dim).astype(dtype)
+            assert_mines_like_the_distance_matrix(va, unit_rows(rng, n, dim).astype(dtype))
+            assert_mines_like_the_distance_matrix(va, va.copy())
+            near = va + 1e-9 * unit_rows(rng, n, dim).astype(dtype)
+            assert_mines_like_the_distance_matrix(va, near)
+            assert_mines_like_the_distance_matrix(near, va)
+
+    @pytest.mark.parametrize("name", sorted(HAND_CASES))
+    def test_distance_ties_a_product_order_would_break(self, name):
+        va, vp, pairs = HAND_CASES[name]
+        neg_u, neg_v = assert_mines_like_the_distance_matrix(va, vp)
+        for anchor, u, v in pairs:
+            assert (neg_u[anchor], neg_v[anchor]) == (u, v)
 
 
 class TestSelectStructure:

@@ -5,11 +5,16 @@ import struct
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from topodesc import autodiff as ad
+from topodesc import config, data, train
 from topodesc import loss as L
 from topodesc import net as nm
 from topodesc.config import RunConfig
 from topodesc.errors import DatasetFormatError, DegenerateDescriptorError, InvalidInputError
+
+from recorded_net import recorded_forward
 
 
 def fresh_net(widths=(6, 10, 4), seed=0, dtype=np.float64):
@@ -100,6 +105,59 @@ class TestForward:
         out = ad.sum_(ad.mul(ad.sub(da, dp), ad.sub(da, dp)))
         ad.backward(tape, out)
         assert all(t.grad is not None for t in leaves.values())
+
+
+def loss_step(forward, net, xa, xp, lam, mode):
+    """Descriptors, node count and leaf gradients of one step whose views come from forward."""
+    cfg = RunConfig(k=3, topology_gradient_mode=mode)
+    tape = ad.Tape()
+    leaves = nm.make_leaves(net, tape)
+    da = forward(net, xa, tape, leaves)
+    dp = forward(net, xp, tape, leaves)
+    structure = L.select_structure(da.value, dp.value, cfg)
+    graph = L.build_loss_graph(da, dp, lam, cfg, structure, tape)
+    ad.backward(tape, graph.loss)
+    return (da.value, dp.value), len(tape.nodes), {name: t.grad for name, t in leaves.items()}
+
+
+class TestFusedNodes:
+    """One dense node per layer and one normalize_rows node against the op-by-op forward."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("widths", [(6, 10, 4), (6, 12, 9, 5), (6, 3), (6, 8, 1)])
+    @pytest.mark.parametrize("lam, mode", [(1.0, "off"), (0.5, "through-weights")])
+    def test_values_and_every_leaf_gradient_are_bitwise_equal(self, dtype, widths, lam, mode):
+        rng = np.random.default_rng(sum(widths))
+        net = fresh_net(widths, seed=len(widths), dtype=dtype)
+        xa = rng.standard_normal((12, 6)).astype(dtype)
+        xp = (xa + 0.3 * rng.standard_normal((12, 6))).astype(dtype)
+        views, nodes, grads = loss_step(nm.forward, net, xa, xp, lam, mode)
+        want_views, want_nodes, want_grads = loss_step(recorded_forward, net, xa, xp, lam, mode)
+        for got, want in zip(views, want_views):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        layers = len(widths) - 1
+        # per view: transpose, matmul, add and tanh per layer (no tanh on the
+        # last) and four nodes to normalize, against one node each
+        assert want_nodes - nodes == 2 * ((4 * layers - 1 + 4) - (layers + 1))
+        assert grads.keys() == want_grads.keys()
+        for name, got in grads.items():
+            want = want_grads[name]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_training_run_is_bitwise_equal(self, monkeypatch, precision):
+        ds = data.generate(6, 120, 8, 0.6, 0.3)
+        cfg = replace(
+            config.resolve_config("desk", {}, {"seed": 6}),
+            net_widths=(8, 16, 6), batch_size=16, k=3, iterations=8, lambda_n0=3, lambda_N=2,
+            precision=precision,
+        )
+        fused = train.run_training(cfg, ds)
+        monkeypatch.setattr(nm, "forward", recorded_forward)
+        recorded = train.run_training(cfg, ds)
+        assert fused.rows == recorded.rows
+        for got, want in zip(nm.parameters(fused.net).values(), nm.parameters(recorded.net).values()):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestInit:

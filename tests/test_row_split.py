@@ -150,17 +150,24 @@ class TestMiner:
     @settings(max_examples=40, deadline=None)
     @given(n=SIZES, seed=st.integers(0, 2**32 - 1))
     def test_column_ties_whose_first_row_is_in_the_upper_part(self, n, seed):
+        """Products exact in {0, +-0.5, +-1}: columns whose nearest anchors tie below row n // 2.
+
+        The miner runs whole on the calling thread, so the CPU count must not matter either.
+        """
         rng = np.random.default_rng(seed)
-        cross = rng.integers(1, 4, size=(n, n)).astype(np.float64)
+        halves = np.array(np.meshgrid(*[[-0.5, 0.5]] * 4)).reshape(4, -1).T
+        axes = np.vstack([np.eye(4), -np.eye(4)])
+        va = halves[rng.integers(0, len(halves), n)]
+        vp = axes[rng.integers(0, len(axes), n)]
         mid = n // 2
-        # columns whose minimum, 0.5, first appears below the split row, tied further down
+        # columns whose one product of 1 first appears below the split row, tied further down
         cols = rng.choice(n, size=12, replace=False)
-        cross[mid + 1, cols] = 0.5
-        cross[n - 1, cols] = 0.5
-        results = one_and_split(lambda: loss.hardest_negatives(cross.copy()))
+        vp[cols] = axes[0]
+        va[[mid + 1, n - 1]] = axes[0]
+        results = one_and_split(lambda: loss.hardest_negatives(va, vp))
         assert_bitwise(results)
         neg_u, neg_v = results[0]
-        masked = cross.copy()
+        masked = knn.pairwise_distances(va, vp)
         np.fill_diagonal(masked, np.inf)
         for i in range(n):
             best = min(masked[i].min(), masked[:, i].min())

@@ -10,6 +10,7 @@ from topodesc import topology
 from topodesc.errors import InvalidInputError
 from topodesc.knn import neighbor_index_matrix
 
+from recorded_net import div
 from single_fit import fit_one
 
 
@@ -66,7 +67,7 @@ def tape_affine_weights(x, idx, eps=topology.DEFAULT_EPS):
         eps_per_system[failed] = topology.DEFAULT_EPS
     m = regularize_op(s, eps_per_system)
     y = ad.solve_chol_batched(m, np.ones(k, dtype=x.value.dtype))
-    return ad.div(y, ad.sum_(y, axis=1, keepdims=True))
+    return div(y, ad.sum_(y, axis=1, keepdims=True))
 
 
 def fit_and_gradient(fit, x, idx, eps, adjoint):
