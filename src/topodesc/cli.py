@@ -21,13 +21,13 @@ from . import metrics
 from . import loss as lossmod
 from . import net as netmod
 from .config import (
+    FIELD_CHOICES,
     GRADIENT_MODES,
-    PRECISIONS,
     PRESETS,
     RunConfig,
     format_config,
     parse_config_file,
-    parse_net_widths,
+    parse_value,
     resolve_config,
     resolve_seed,
 )
@@ -49,6 +49,29 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
 
+# A setting flag is --<RunConfig field name with dashes>, except these.
+_FLAG_SPELLINGS = {"topology_gradient_mode": "--topology"}
+_FLAG_HELP = {
+    "net_widths": "comma-separated layer widths",
+    "lambda_mode": "dynamic or fixed:<value in [0,1]>",
+    "topology_report_every": "compute the logged d_T of a lambda = 1 step only every N iterations",
+}
+
+
+def _add_setting_flags(parser: argparse.ArgumentParser, names) -> None:
+    """One flag per RunConfig field in names; _settings parses what they hold."""
+    for name in names:
+        flag = _FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-"))
+        metavar = "{" + ",".join(FIELD_CHOICES[name]) + "}" if name in FIELD_CHOICES else None
+        parser.add_argument(flag, dest=name, metavar=metavar, help=_FLAG_HELP.get(name))
+    parser.set_defaults(settings=tuple(names))
+
+
+def _settings(args) -> dict:
+    """The setting flags given, each parsed as its config-file line would be."""
+    given = {name: getattr(args, name) for name in args.settings}
+    return {name: parse_value(name, raw) for name, raw in given.items() if raw is not None}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -69,29 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train a descriptor net on a dataset")
     tr.add_argument("--preset", choices=sorted(PRESETS), default="desk")
     tr.add_argument("--config", default=None, help="flat key = value config file")
-    tr.add_argument("--dataset", default=None)
-    tr.add_argument("--out-dir", default=None)
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--batch-size", type=int, default=None)
-    tr.add_argument("--iterations", type=int, default=None)
-    tr.add_argument("--k", type=int, default=None)
-    tr.add_argument("--margin", type=float, default=None)
-    tr.add_argument("--lr-start", type=float, default=None)
-    tr.add_argument("--lr-end", type=float, default=None)
-    tr.add_argument("--net-widths", default=None, help="comma-separated layer widths")
-    tr.add_argument("--lambda-n0", type=int, default=None)
-    tr.add_argument("--lambda-N", type=int, default=None)
-    tr.add_argument("--lambda-r", type=float, default=None)
-    tr.add_argument("--lambda-floor", type=float, default=None)
-    tr.add_argument("--precision", choices=PRECISIONS, default=None)
-    tr.add_argument(
-        "--topology", choices=GRADIENT_MODES, default=None, dest="topology_gradient_mode"
-    )
-    tr.add_argument("--lambda-mode", default=None, help="dynamic or fixed:<value in [0,1]>")
-    tr.add_argument(
-        "--topology-report-every", type=int, default=None,
-        help="compute the logged d_T of a lambda = 1 step only every N iterations",
-    )
+    _add_setting_flags(tr, [f.name for f in fields(RunConfig)])
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -107,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     ins.add_argument("--checkpoint", required=True)
     ins.add_argument("--dataset", required=True)
     ins.add_argument("--seed", type=int, default=None)
-    ins.add_argument("--batch-size", type=int, default=64)
-    ins.add_argument("--k", type=int, default=8)
+    _add_setting_flags(ins, ("batch_size", "k"))
     ins.add_argument("--out", default=None, help="optional CSV of per-pair distances")
     ins.set_defaults(func=cmd_inspect)
 
@@ -135,11 +135,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    flag_values = _settings(args)
     file_values = parse_config_file(args.config) if args.config else {}
-    # Every RunConfig field has a flag whose dest is the field's name.
-    flag_values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    if args.net_widths is not None:
-        flag_values["net_widths"] = parse_net_widths(args.net_widths)
     cfg = resolve_config(args.preset, file_values, flag_values)
     if not cfg.dataset:
         print("error: a dataset path is required (--dataset or config file)", file=sys.stderr)
@@ -210,17 +207,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    # Reject a bad --k or --batch-size before any file is read.
+    cfg = RunConfig(**_settings(args))
     net, ds = _load_net_and_data(args.checkpoint, args.dataset)
     if ds.scene_count < 2:
         raise InvalidArgumentError(f"need at least 2 scenes to inspect a batch, got {ds.scene_count}")
-    batch_size = min(args.batch_size, ds.scene_count)
+    batch_size = min(cfg.batch_size, ds.scene_count)
     rng = np.random.default_rng(resolve_seed(args.seed))
     _, batch_a, batch_p = datamod.sample_batch(ds, batch_size, rng)
     desc_a = netmod.embed(net, batch_a)
     desc_p = netmod.embed(net, batch_p)
     # The loss's own graph on constants gives the supports, weights, d_E and
     # d_T; none of them depends on lambda, so it is 1 as at iteration 0.
-    cfg = RunConfig(k=args.k)
     structure = lossmod.select_structure(desc_a, desc_p, cfg)
     tape = ad.Tape()
     graph = lossmod.build_loss_graph(

@@ -22,6 +22,8 @@ from .errors import InvalidArgumentError, InvalidInputError
 SEED_ENV_VAR = "TCDESC_SEED"
 PRECISIONS = ("double", "single")
 GRADIENT_MODES = ("through-weights", "detached", "off")
+# The str fields that take one of a few values.
+FIELD_CHOICES = {"topology_gradient_mode": GRADIENT_MODES, "precision": PRECISIONS}
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,9 @@ class RunConfig:
             raise InvalidArgumentError(f"lambda_r must be positive and finite, got {self.lambda_r}")
         if not 0 < self.lambda_floor <= 1:
             raise InvalidArgumentError(f"lambda_floor must be in (0, 1], got {self.lambda_floor}")
-        if self.topology_gradient_mode not in GRADIENT_MODES:
-            raise InvalidArgumentError(
-                f"topology_gradient_mode must be one of {GRADIENT_MODES}, "
-                f"got {self.topology_gradient_mode!r}"
-            )
+        for name, allowed in FIELD_CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise InvalidArgumentError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if len(self.net_widths) < 2 or any(w < 1 for w in self.net_widths):
             raise InvalidArgumentError(f"net_widths needs >= 2 positive entries, got {self.net_widths}")
         if self.batch_size < 2:
@@ -90,8 +90,6 @@ class RunConfig:
             )
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
-        if self.precision not in PRECISIONS:
-            raise InvalidArgumentError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
         if self.lambda_mode != "dynamic":
             self.fixed_lambda()
         if self.topology_report_every < 1:
@@ -147,24 +145,18 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 _UNREADABLE = re.compile(r"[\r\n]|^\s|\s$|(?:^|\s)#")
 
 
-def parse_net_widths(raw: str) -> tuple[int, ...]:
-    """Layer widths from "16,64,32", as config files and --net-widths give them."""
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise InvalidArgumentError(
-            f"net_widths must be comma-separated integers, got {raw!r}"
-        ) from None
+def parse_value(key: str, raw: str):
+    """Config-file or flag text for key, parsed as the type of its field's default.
 
-
-def _parse_value(key: str, raw: str):
+    A tuple field takes comma-separated integers, as in "16,64,32".
+    """
     kind = type(_DEFAULTS[key])
-    if kind is tuple:
-        return parse_net_widths(raw)
     try:
-        return kind(raw)
+        return tuple(int(part) for part in raw.split(",")) if kind is tuple else kind(raw)
     except ValueError:
-        raise InvalidInputError(f"cannot parse value {raw!r} for key {key!r}") from None
+        expected = "comma-separated integers" if kind is tuple else kind.__name__
+        message = f"cannot parse value {raw!r} for key {key!r}: expected {expected}"
+        raise InvalidInputError(message) from None
 
 
 def resolve_seed(seed: int | None) -> int:
@@ -202,7 +194,7 @@ def parse_config_file(path: str) -> dict:
         key, raw = (part.strip() for part in text.split("=", 1))
         if key not in _DEFAULTS:
             raise InvalidInputError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = parse_value(key, raw)
     return values
 
 
@@ -238,7 +230,7 @@ def format_config(cfg: RunConfig) -> str:
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.name == "net_widths":
+        if isinstance(value, tuple):
             value = ",".join(str(w) for w in value)
         elif isinstance(value, str):
             if _UNREADABLE.search(value):

@@ -40,6 +40,8 @@ REMOVED = [
     (autodiff, "div"),
     (autodiff, "transpose"),
     (autodiff, "tanh_"),
+    (config, "parse_net_widths"),
+    (config, "_parse_value"),
     *[(autodiff.Tensor, op) for op in TENSOR_OPERATORS],
 ]
 

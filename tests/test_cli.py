@@ -694,6 +694,13 @@ class TestGradcheckCommand:
             + ["--net-widths", "6,8", "--batch-size", "8", "--k", "8"],
             None,
         ),
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--k", "three"], None),
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--k", "3.0"], None),
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--precision", "bogus"], None),
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--topology", "sometimes"], None),
+        (["inspect", "--checkpoint", "{checkpoint}", "--dataset", "{noisy}", "--k", "x"], None),
+        # missing files: a bad --k is rejected before either is read
+        (["inspect", "--checkpoint", "{out}.tcd1", "--dataset", "{out}.tcpd", "--k", "x"], None),
     ],
     ids=[
         "train-net-widths",
@@ -723,6 +730,12 @@ class TestGradcheckCommand:
         "train-net-width-vs-dataset-dim",
         "train-batch-size-vs-train-split",
         "train-k-vs-batch-size",
+        "train-k-word",
+        "train-k-float",
+        "train-precision",
+        "train-topology",
+        "inspect-k",
+        "inspect-k-before-reading",
     ],
 )
 def test_bad_argument_exits_2_with_one_error_line(

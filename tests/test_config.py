@@ -1,8 +1,12 @@
 """Config file parsing, preset merging, and seed fallback."""
 
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from topodesc import cli
 from topodesc import config as C
 from topodesc.errors import InvalidArgumentError, InvalidInputError
 
@@ -173,15 +177,86 @@ class TestConfigFile:
         assert (values["dataset"], values["out_dir"], values["k"]) == ("data#1.tcpd", "run#1", 8)
         assert C.resolve_config(file_values=values) == cfg
 
-    def test_net_widths_file_and_flag_share_one_parser(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("net_widths = 6,,16,8\n")
-        with pytest.raises(InvalidArgumentError) as from_file:
-            C.parse_config_file(str(path))
-        with pytest.raises(InvalidArgumentError) as from_flag:
-            C.parse_net_widths("6,,16,8")
-        assert str(from_file.value) == str(from_flag.value)
-        assert "comma-separated integers" in str(from_flag.value)
+
+# Per field: a valid non-default text and an invalid one, as flag or file value.
+# An empty dataset or out_dir parses but cannot start a run.
+FIELD_TEXTS = {
+    "margin": ("0.5", "half"),
+    "k": ("3", "3.0"),
+    "lambda_n0": ("4", "four"),
+    "lambda_N": ("2", "1e3"),
+    "lambda_r": ("0.05", "5%"),
+    "lambda_floor": ("0.75", "1.5"),
+    "topology_gradient_mode": ("detached", "sometimes"),
+    "net_widths": ("6,12,4", "6,,16,8"),
+    "batch_size": ("8", "8.5"),
+    "iterations": ("3", "-1"),
+    "lr_start": ("0.05", "nan"),
+    "lr_end": ("0.01", "0.01,0.02"),
+    "seed": ("7", "seven"),
+    "dataset": ("{tmp}/other.tcpd", ""),
+    "out_dir": ("{tmp}/other", ""),
+    "precision": ("single", "bogus"),
+    "lambda_mode": ("fixed:0.25", "fixed:2"),
+    "topology_report_every": ("5", "0"),
+}
+
+
+def _train_config(tmp_path, monkeypatch, capsys, argv, extra_lines=""):
+    """Exit code, resolved RunConfig (or None) and stderr of one train run.
+
+    The base config file names a missing dataset, so a run whose settings
+    resolve stops at reading it, after the RunConfig is built.
+    """
+    seen = []
+
+    def spy(*args):
+        seen.append(C.resolve_config(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "resolve_config", spy)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"dataset = {tmp_path}/missing.tcpd\nout_dir = {tmp_path}/o\n{extra_lines}")
+    code = cli.main(["train", "--config", str(path), *argv])
+    return code, seen[0] if seen else None, capsys.readouterr().err
+
+
+class TestFlagFileParity:
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(C.RunConfig)])
+    def test_every_field_file_and_flag_share_one_parser(
+        self, name, valid, tmp_path, monkeypatch, capsys
+    ):
+        text = FIELD_TEXTS[name][0 if valid else 1].format(tmp=tmp_path)
+        flag = "--topology" if name == "topology_gradient_mode" else "--" + name.replace("_", "-")
+        from_flag = _train_config(tmp_path, monkeypatch, capsys, [flag, text])
+        from_file = _train_config(tmp_path, monkeypatch, capsys, [], f"{name} = {text}\n")
+        assert from_flag == from_file
+        code, cfg, err = from_flag
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not (tmp_path / "o").exists()
+        if valid:  # stopped at the missing dataset, with the value applied
+            assert code == 3 and getattr(cfg, name) == C.parse_value(name, text)
+            assert getattr(cfg, name) != getattr(C.RunConfig(), name)
+        else:
+            assert code == 2
+
+    def test_train_has_one_flag_per_field(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = sub.choices["train"]._actions
+        names = [f.name for f in fields(C.RunConfig)]
+        assert sorted(a.dest for a in actions) == sorted(["help", "preset", "config", *names])
+        renamed = {
+            a.dest: a.option_strings
+            for a in actions
+            if a.dest in names and a.option_strings != ["--" + a.dest.replace("_", "-")]
+        }
+        assert renamed == {"topology_gradient_mode": ["--topology"]}
+
+    def test_bad_tuple_text_names_the_expected_form(self):
+        with pytest.raises(InvalidInputError, match="comma-separated integers"):
+            C.parse_value("net_widths", "6,,16,8")
 
 
 class TestResolve:
@@ -256,6 +331,13 @@ class TestFormat:
     def test_net_widths_render_flat(self):
         text = C.format_config(C.RunConfig(net_widths=(4, 8, 2)))
         assert "net_widths = 4,8,2" in text
+
+    def test_tuple_field_round_trips(self, tmp_path):
+        cfg = C.RunConfig(net_widths=(6, 12, 4))
+        path = tmp_path / "echo.cfg"
+        path.write_text(C.format_config(cfg))
+        assert "net_widths = 6,12,4\n" in path.read_text()
+        assert C.resolve_config(file_values=C.parse_config_file(str(path))) == cfg
 
     @pytest.mark.parametrize(
         "field, value",
