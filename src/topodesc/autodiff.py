@@ -319,38 +319,23 @@ def mirrored_gram(d: np.ndarray) -> np.ndarray:
     return full
 
 
-def cholesky_failures(m: np.ndarray) -> np.ndarray:
-    """Boolean mask of the systems in a stack (n, k, k) that Cholesky rejects.
-
-    One stacked factorization answers the common case; only when it fails
-    are the systems factored one by one to find which.
-    """
-    try:
-        np.linalg.cholesky(m)
-        return np.zeros(m.shape[0], dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    bad = np.zeros(m.shape[0], dtype=bool)
-    for i in range(m.shape[0]):
-        try:
-            np.linalg.cholesky(m[i])
-        except np.linalg.LinAlgError:
-            bad[i] = True
-    return bad
-
-
 def cholesky_factor(m: np.ndarray, first: int = 0) -> np.ndarray:
     """Lower factors L_i of M_i = L_i L_i^T for a stack (n, k, k), in double precision.
 
     A system that is not positive definite raises SingularSystemError
     naming the first such anchor; the stack's first system is anchor `first`.
+    Only then are the systems factored one by one, to find that anchor.
     """
     m64 = np.asarray(m, dtype=np.float64)
     try:
         return np.linalg.cholesky(m64)
     except np.linalg.LinAlgError:
-        bad = first + int(np.flatnonzero(cholesky_failures(m64))[0])
-        raise SingularSystemError(f"symmetric factorization failed for anchor {bad}") from None
+        for i, system in enumerate(m64):
+            try:
+                np.linalg.cholesky(system)
+            except np.linalg.LinAlgError:
+                raise SingularSystemError(f"symmetric factorization failed for anchor {first + i}") from None
+        raise
 
 
 def cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -73,8 +73,13 @@ def _settings(args) -> dict:
     return {name: parse_value(name, raw) for name, raw in given.items() if raw is not None}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints one error: line and exits 2, with no usage block
+        raise InvalidArgumentError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topodesc",
         description="Topology-consistent descriptor training toolkit",
     )
@@ -273,13 +278,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help; a bad command line raises InvalidArgumentError
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     except (InvalidArgumentError, InvalidBatchError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -290,7 +290,7 @@ def batch_loss(
     """Loss and diagnostics for fixed descriptor arrays (no training state).
 
     lambda is the one training uses at iteration (resolve_lambda), and the
-    affine weights are fitted with topology.DEFAULT_EPS. Nothing is
+    affine weights are fitted with topology.EPS. Nothing is
     differentiated, so "through-weights" and "detached" report the same loss.
     """
     lam = resolve_lambda(iteration, cfg)

@@ -7,10 +7,11 @@ the topology distance d_T is a quarter of the l1 distance between two such
 rows.
 
 ``affine_weights`` is the only implementation of the fit: one autodiff node
-from the descriptors and their kNN indices to the weights, whose backward is
-the closed form of the LLE weights' derivative. Training records it on the
-tape in "through-weights" mode while lambda < 1; ``affine_weight_values``
-and ``batch_topology_vectors`` run it on constants, as every other step does.
+from the descriptors and their kNN indices to the weights, regularized by
+the one trace-relative Tikhonov term ``EPS``, whose backward is the closed
+form of the LLE weights' derivative. Training records it on the tape in
+"through-weights" mode while lambda < 1; ``affine_weight_values`` and
+``batch_topology_vectors`` run it on constants, as every other step does.
 Each anchor's system needs its own rows only, so the forward and the
 backward's per-anchor part run in row ranges across the CPUs (``_rows``);
 the scatter onto shared neighbor rows stays whole: its order fixes the bits.
@@ -27,14 +28,14 @@ from . import _rows, knn
 from . import autodiff as ad
 from .errors import DegenerateFitError, InvalidInputError
 
-# Trace-relative Tikhonov term used when a caller does not pick its own.
-DEFAULT_EPS = 1e-3
+# Trace-relative Tikhonov term of every fit.
+EPS = 1e-3
 
 # Fits whose normalizer 1' S^-1 1 is smaller than this are rejected.
 NORMALIZER_FLOOR = 1e-300
 
 
-def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> ad.Tensor:
+def affine_weights(x: ad.Tensor, idx: np.ndarray) -> ad.Tensor:
     """Best affine combination of each anchor's k neighbors, as one tape node.
 
     x is (m, dim) and idx (n, k) with n <= m: anchor i is x[i] and its
@@ -42,43 +43,35 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> a
     ||x_i - sum_j w_j x_idx[i, j]||^2 subject to sum_j w_j = 1 through the
     closed form w = y / (1' y) with y = M^-1 1, where S is the bitwise
     symmetric Gram matrix of the differences D_j = x_i - x_idx[i, j] and
-    M = S + eps * trace(S) / k * I, or S + eps * I where trace(S) == 0. The
+    M = S + EPS * trace(S) / k * I, or S + EPS * I where trace(S) == 0. The
     trace-relative term keeps the conditioning scale-free. S and M are
     formed in x's dtype and factored in double precision.
 
     The backward pass is the closed form of the LLE weights' derivative
     (Roweis & Saul, Science 2000) and reuses M's Cholesky factors. For the
     adjoint g of w: gy = (g - (g.w) 1) / 1'y, gb = M^-1 gy,
-    grad_M = -gb y', grad_S = grad_M + (eps / k) trace(grad_M) I where
+    grad_M = -gb y', grad_S = grad_M + (EPS / k) trace(grad_M) I where
     trace(S) != 0, and grad_D = (grad_S + grad_S') D. Anchor i receives
     sum_j grad_D_j and neighbor idx[i, j] receives -grad_D_j.
 
-    With eps == 0 each system is first tried plain; a system whose Cholesky
-    factorization fails is solved with DEFAULT_EPS instead, and only that
-    system. A system that still fails raises SingularSystemError; a
-    vanishing normalizer raises DegenerateFitError.
+    A system whose Cholesky factorization fails raises SingularSystemError;
+    a vanishing normalizer raises DegenerateFitError.
     """
-    if eps < 0.0:
-        raise InvalidInputError(f"eps must be >= 0, got {eps}")
     idx = np.asarray(idx)
     n, k = idx.shape
     dtype = x.value.dtype
     diag = np.arange(k)
     d = np.empty((n, k, x.value.shape[1]), dtype=dtype)
     lower, y64 = np.empty((n, k, k)), np.empty((n, k), order="F")  # y64 as cho_solve lays it out
-    eps_per_system = np.full(n, eps)
-    nonzero, coef = np.empty(n, dtype=bool), np.empty(n, dtype=dtype)
+    nonzero = np.empty(n, dtype=bool)
+    coef, eps = dtype.type(EPS / k), dtype.type(EPS)
 
     def fit(lo, hi):
         np.subtract(x.value[lo:hi, None, :], x.value[idx[lo:hi]], out=d[lo:hi])
         m = ad.mirrored_gram(d[lo:hi])
-        eps_part = eps_per_system[lo:hi]
-        if eps == 0.0:
-            eps_part[ad.cholesky_failures(np.asarray(m, dtype=np.float64))] = DEFAULT_EPS
         trace = m[:, diag, diag].sum(axis=-1)
         nonzero[lo:hi] = trace != 0
-        coef[lo:hi] = eps_part / k
-        shift = np.where(nonzero[lo:hi], trace * coef[lo:hi], eps_part.astype(dtype))
+        shift = np.where(nonzero[lo:hi], trace * coef, eps)
         m[:, diag, diag] += shift[:, None]
         lower[lo:hi] = ad.cholesky_factor(m, first=lo)
         del m
@@ -105,7 +98,7 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> a
             # C order keeps the matmul below on BLAS; gb and y64 are column-major
             grad_s = np.multiply(-gb[:, :, None], y64[lo:hi, None, :], order="C")
             trace_g = grad_s[:, diag, diag].sum(axis=1)
-            grad_s[:, diag, diag] += (trace_g * coef[lo:hi] * nonzero[lo:hi])[:, None]
+            grad_s[:, diag, diag] += (trace_g * coef * nonzero[lo:hi])[:, None]
             np.matmul(grad_s + grad_s.swapaxes(-1, -2), d[lo:hi], out=grad_d[lo:hi])
 
         _rows.in_parts(n, part)
@@ -116,9 +109,9 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray, eps: float = DEFAULT_EPS) -> a
     return ad.node(x.tape, w, (x,), back)
 
 
-def affine_weight_values(x: np.ndarray, idx: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
+def affine_weight_values(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Value-only affine weights (n, k) of every row of x over its rows idx."""
-    return affine_weights(ad.constant(ad.Tape(), x), idx, eps).value
+    return affine_weights(ad.constant(ad.Tape(), x), idx).value
 
 
 def topology_distance(ta: np.ndarray, tp: np.ndarray) -> float | np.ndarray:
@@ -134,7 +127,7 @@ def topology_distance(ta: np.ndarray, tp: np.ndarray) -> float | np.ndarray:
     return 0.25 * np.abs(ta - tp).sum(axis=-1)
 
 
-def batch_topology_vectors(x: np.ndarray, k: int, eps: float = DEFAULT_EPS) -> np.ndarray:
+def batch_topology_vectors(x: np.ndarray, k: int) -> np.ndarray:
     """(n, n) topology vectors of every descriptor within one set, from one batched fit.
 
     Row i holds anchor i's fitted weights at its k nearest neighbors'
@@ -143,5 +136,5 @@ def batch_topology_vectors(x: np.ndarray, k: int, eps: float = DEFAULT_EPS) -> n
     x = np.asarray(x, dtype=np.float64)
     idx = knn.neighbor_index_matrix(x, k)
     t = np.zeros((x.shape[0], x.shape[0]))
-    np.put_along_axis(t, idx, affine_weight_values(x, idx, eps), axis=1)
+    np.put_along_axis(t, idx, affine_weight_values(x, idx), axis=1)
     return t

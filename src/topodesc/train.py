@@ -59,14 +59,16 @@ def training_split(cfg: RunConfig, dataset: datamod.DatasetFile) -> datamod.Data
     """The dataset's training split, once cfg fits it.
 
     Rejects the net input width, batch size and k the first step would fail
-    on, with that step's messages, so a run that cannot start writes nothing.
+    on, so a run that cannot start writes nothing.
     """
     if cfg.net_widths[0] != dataset.dim:
         raise InvalidArgumentError(f"net input width {cfg.net_widths[0]} != dataset dim {dataset.dim}")
     train_ds, _ = datamod.split_train_heldout(dataset)
     n_train = train_ds.scene_count
+    if n_train < 2:
+        raise InvalidArgumentError(f"a batch needs 2 scenes, but the training split has {n_train}")
     if cfg.batch_size > n_train:
-        raise InvalidArgumentError(f"batch_size must be in [1, {n_train}], got {cfg.batch_size}")
+        raise InvalidArgumentError(f"batch_size must be in [2, {n_train}], got {cfg.batch_size}")
     if cfg.k >= cfg.batch_size:
         raise InvalidArgumentError(f"k must be in [1, n-1] = [1, {cfg.batch_size - 1}], got {cfg.k}")
     return train_ds

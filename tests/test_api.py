@@ -42,6 +42,8 @@ REMOVED = [
     (autodiff, "tanh_"),
     (config, "parse_net_widths"),
     (config, "_parse_value"),
+    (topology, "DEFAULT_EPS"),
+    (autodiff, "cholesky_failures"),
     *[(autodiff.Tensor, op) for op in TENSOR_OPERATORS],
 ]
 
@@ -62,3 +64,6 @@ def test_all_exports_import_and_removed_names_are_gone():
     assert "fraction" not in inspect.signature(data.split_train_heldout).parameters
     leaves = inspect.signature(net.forward).parameters["leaves"]
     assert leaves.default is inspect.Parameter.empty
+    # every fit uses the one regulariser topology.EPS
+    fits = (topology.affine_weights, topology.affine_weight_values, topology.batch_topology_vectors)
+    assert not [f.__name__ for f in fits if "eps" in inspect.signature(f).parameters]

@@ -701,6 +701,15 @@ class TestGradcheckCommand:
         (["inspect", "--checkpoint", "{checkpoint}", "--dataset", "{noisy}", "--k", "x"], None),
         # missing files: a bad --k is rejected before either is read
         (["inspect", "--checkpoint", "{out}.tcd1", "--dataset", "{out}.tcpd", "--k", "x"], None),
+        # argparse's own checks: no usage block, as for the flags above
+        (["gradcheck", "--mode", "sometimes"], None),
+        (["generate", "--scenes", "x", "--out", "{out}"], None),
+        (["generate"], None),
+        (["eval", "--checkpoint", "{checkpoint}", "--dataset", "{noisy}"]
+         + ["--negatives-per-positive", "1.5"], None),
+        (["eval", "--checkpoint", "{checkpoint}", "--dataset", "{noisy}", "--split", "bogus"], None),
+        (["train", "--dataset", "{noisy}", "--out-dir", "{out}", "--preset", "huge"], None),
+        (["frobnicate"], None),
     ],
     ids=[
         "train-net-widths",
@@ -736,6 +745,13 @@ class TestGradcheckCommand:
         "train-topology",
         "inspect-k",
         "inspect-k-before-reading",
+        "gradcheck-mode",
+        "generate-scenes-word",
+        "generate-no-out",
+        "eval-negatives-per-positive-float",
+        "eval-split",
+        "train-preset",
+        "unknown-subcommand",
     ],
 )
 def test_bad_argument_exits_2_with_one_error_line(
@@ -814,6 +830,32 @@ def test_dataset_too_small_to_split_exits_2(command, scenes, workspace, tmp_path
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: need at least 2 scenes to split off a held-out set, got {scenes}"], err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "scenes, batch_size, message",
+    [
+        (2, "2", "a batch needs 2 scenes, but the training split has 1"),
+        (5, "5", "batch_size must be in [2, 4], got 5"),
+        (5, "1", "batch_size must be >= 2, got 1"),
+    ],
+)
+def test_batch_size_error_names_the_usable_range(
+    scenes, batch_size, message, workspace, tmp_path, capsys
+):
+    path = tmp_path / "small.tcpd"
+    noisy = data.read_dataset(str(workspace["noisy"]))
+    data.write_dataset(data.subset(noisy, np.arange(scenes)), str(path))
+    argv = ["train", "--dataset", str(path), "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv + ["--net-widths", "6,8", "--batch-size", batch_size]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_0_with_usage_on_stdout(capsys):
+    assert cli.main(["train", "--help"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: topodesc train") and out.err == ""
 
 
 @pytest.mark.parametrize("scenes", [0, 1])

@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topodesc import autodiff as ad
-from topodesc import topology
-from topodesc.errors import InvalidInputError, SingularSystemError
+from topodesc.errors import SingularSystemError
 
 from single_fit import fit_one
 
@@ -132,14 +131,6 @@ class TestSolve:
         # inverse of [[2,1],[1,2]] is [[2,-1],[-1,2]]/3; times ones -> 1/3, 1/3
         np.testing.assert_allclose(solve(s, np.ones(2)), np.array([1 / 3, 1 / 3]), rtol=1e-14)
 
-    def test_eps_zero_retries_with_default(self, monkeypatch):
-        # rank-1 matrix: plain Cholesky fails, the conditioned retry succeeds
-        v = np.array([1.0, 2.0, 3.0])
-        s = np.outer(v, v)
-        m, y = fitted_system(monkeypatch, v[:, None], 0.0)
-        np.testing.assert_allclose(m, s + topology.DEFAULT_EPS * 14.0 / 3 * np.eye(3))
-        np.testing.assert_allclose(m @ y, np.ones(3), rtol=1e-8)
-
     def test_positive_eps_marks_conditioning(self, monkeypatch):
         # S = 4 I is well conditioned; eps > 0 still regularizes it
         m, y = fitted_system(monkeypatch, np.array([[2.0, 0.0], [0.0, 2.0]]), 0.5)
@@ -150,11 +141,6 @@ class TestSolve:
     def test_hopeless_matrix_raises(self):
         with pytest.raises(SingularSystemError):
             solve(-np.eye(3), np.ones(3))
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(InvalidInputError, match="eps"):
-            x = np.vstack([np.ones(2), np.eye(2)])
-            topology.affine_weight_values(x, np.array([[1, 2]]), eps=-1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 16))

@@ -1,5 +1,7 @@
 """Tests for the affine-fit weights and the topology distance."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from topodesc.errors import InvalidInputError
 from topodesc.knn import neighbor_index_matrix
 
 from recorded_net import div
-from single_fit import fit_one
+from single_fit import fit_eps, fit_one
 
 
 def unit_rows(rng, n, d):
@@ -20,11 +22,15 @@ def unit_rows(rng, n, d):
 
 
 def stacked_fit(anchors, neighbors, eps):
-    """affine_weights on constants for anchors (n, dim) with neighbors (n, k, dim)."""
+    """affine_weights on constants for anchors (n, dim) with neighbors (n, k, dim).
+
+    The fit runs under fit_eps(eps).
+    """
     n, k, dim = neighbors.shape
     x = np.concatenate([anchors, neighbors.reshape(n * k, dim)])
     idx = n + np.arange(n * k).reshape(n, k)
-    return topology.affine_weights(ad.constant(ad.Tape(), x), idx, eps).value
+    with fit_eps(eps):
+        return topology.affine_weights(ad.constant(ad.Tape(), x), idx).value
 
 
 def regularize_op(s, eps):
@@ -51,7 +57,7 @@ def regularize_op(s, eps):
     return ad.node(s.tape, value, (s,), back)
 
 
-def tape_affine_weights(x, idx, eps=topology.DEFAULT_EPS):
+def tape_affine_weights(x, idx, eps=topology.EPS):
     """The fit as an eight-node tape composition: the oracle for the fused node.
 
     take, reshape, sub, gram_batched, regularize_op, solve_chol_batched,
@@ -61,25 +67,22 @@ def tape_affine_weights(x, idx, eps=topology.DEFAULT_EPS):
     dim = x.value.shape[1]
     diffs = ad.sub(ad.reshape(x, (n, 1, dim)), ad.take(x, idx))
     s = ad.gram_batched(diffs)
-    eps_per_system = np.full(n, eps)
-    if eps == 0.0:
-        failed = ad.cholesky_failures(np.asarray(s.value, dtype=np.float64))
-        eps_per_system[failed] = topology.DEFAULT_EPS
-    m = regularize_op(s, eps_per_system)
+    m = regularize_op(s, np.full(n, eps))
     y = ad.solve_chol_batched(m, np.ones(k, dtype=x.value.dtype))
     return div(y, ad.sum_(y, axis=1, keepdims=True))
 
 
 def fit_and_gradient(fit, x, idx, eps, adjoint):
-    """Weights of fit(leaf x, idx, eps) and the gradient of <adjoint, w> in x."""
+    """Weights of fit(leaf x, idx) under fit_eps(eps) and the gradient of <adjoint, w> in x."""
     tape = ad.Tape()
     leaf = ad.leaf(tape, x.copy())
-    w = fit(leaf, idx, eps)
+    with fit_eps(eps):
+        w = fit(leaf, idx)
     ad.backward(tape, w, adjoint)
     return w.value, leaf.grad
 
 
-def column_major_fit_gradient(x, idx, adjoint, eps=topology.DEFAULT_EPS):
+def column_major_fit_gradient(x, idx, adjoint, eps=topology.EPS):
     """Gradient of <adjoint, w> in x, with grad_S laid out as cho_solve's outputs are.
 
     cho_solve returns gb and y column-major, so their outer product has the
@@ -141,7 +144,7 @@ class TestFitWeights:
         # anchor outside the neighbors' convex hull forces a negative weight
         anchor = np.array([2.0, 0.0])
         neighbors = np.array([[1.0, 0.0], [0.0, 0.0]])
-        w = fit_one(anchor, neighbors, eps=0.0)
+        w = fit_one(anchor, neighbors)
         assert w.min() < 0
         np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
 
@@ -172,61 +175,38 @@ class TestFitWeights:
         moved = fit_one(anchor + shift, neighbors + shift)
         np.testing.assert_allclose(moved, base, atol=1e-8)
 
-    def test_eps_zero_regularizes_only_the_singular_system(self):
+    def test_trace_relative_term_and_zero_trace_fallback(self):
         # one stack: S = diag(1, 9); S = [[1, 2], [2, 4]] (rank one, trace 5);
         # S = 0 (zero trace)
         anchors = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
         neighbors = np.array(
             [[[1.0, 0.0], [0.0, 3.0]], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]]]
         )
-
-        def fit(eps):
-            return stacked_fit(anchors, neighbors, eps)
-
-        w = fit(0.0)
-        # well conditioned: the plain system, no regularizer
-        np.testing.assert_allclose(w[0], [0.9, 0.1], rtol=1e-14)
-        # singular: retried with the trace-relative DEFAULT_EPS term
-        m = np.array([[1.0, 2.0], [2.0, 4.0]]) + topology.DEFAULT_EPS * 5.0 / 2 * np.eye(2)
-        y = np.linalg.solve(m, np.ones(2))
-        np.testing.assert_allclose(w[1], y / y.sum(), rtol=1e-12)
-        assert w[1].min() < 0
-        # zero trace: plain DEFAULT_EPS on the diagonal
+        w = stacked_fit(anchors, neighbors, 0.5)
+        # zero trace: plain EPS on the diagonal
         np.testing.assert_allclose(w[2], [0.5, 0.5], rtol=1e-14)
-        # eps > 0 adds eps * trace / k to every system: diag(1, 9) -> diag(3.5, 11.5)
+        # EPS adds EPS * trace / k to every other system: diag(1, 9) -> diag(3.5, 11.5)
         y = np.array([1 / 3.5, 1 / 11.5])
-        np.testing.assert_allclose(fit(0.5)[0], y / y.sum(), rtol=1e-14)
+        np.testing.assert_allclose(w[0], y / y.sum(), rtol=1e-14)
 
 
 class TestAffineWeightsNode:
     """The fused fit node against the tape composition and finite differences."""
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    @pytest.mark.parametrize("eps", [topology.DEFAULT_EPS, 0.5])
+    @pytest.mark.parametrize("eps", [topology.EPS, 0.5])
     def test_matches_tape_oracle(self, dtype, rtol, eps):
         rng = np.random.default_rng(41)
         x = unit_rows(rng, 96, 8).astype(dtype)
         idx = neighbor_index_matrix(x, 12)  # k > dim: every S is singular
         adjoint = rng.standard_normal(idx.shape).astype(dtype)
         w, grad = fit_and_gradient(topology.affine_weights, x, idx, eps, adjoint)
-        want_w, want_grad = fit_and_gradient(tape_affine_weights, x, idx, eps, adjoint)
+        oracle = partial(tape_affine_weights, eps=eps)
+        want_w, want_grad = fit_and_gradient(oracle, x, idx, eps, adjoint)
         assert_close_normwise(w, want_w, rtol)
         assert_close_normwise(grad, want_grad, rtol)
 
-    def test_eps_zero_retry_matches_tape_oracle(self):
-        rng = np.random.default_rng(42)
-        x = unit_rows(rng, 40, 6)
-        x[7] = x[5]  # anchors 5 and 7 get a zero difference row: their S is singular
-        idx = neighbor_index_matrix(x, 4)
-        retried = ad.cholesky_failures(ad.mirrored_gram(x[:, None, :] - x[idx]))
-        assert retried[[5, 7]].all() and not retried.all()
-        adjoint = rng.standard_normal(idx.shape)
-        w, grad = fit_and_gradient(topology.affine_weights, x, idx, 0.0, adjoint)
-        want_w, want_grad = fit_and_gradient(tape_affine_weights, x, idx, 0.0, adjoint)
-        assert_close_normwise(w, want_w, 1e-12)
-        assert_close_normwise(grad, want_grad, 1e-12)
-
-    @pytest.mark.parametrize("eps", [topology.DEFAULT_EPS, 0.5])
+    @pytest.mark.parametrize("eps", [topology.EPS, 0.5])
     def test_gradient_matches_finite_differences(self, eps):
         # at eps = 0.5 the trace term carries a large share of the gradient
         rng = np.random.default_rng(43)
@@ -236,13 +216,14 @@ class TestAffineWeightsNode:
         _, grad = fit_and_gradient(topology.affine_weights, x, idx, eps, adjoint)
         step = 1e-6
         numeric = np.zeros_like(x)
-        for pos in np.ndindex(x.shape):
-            bumped = x.copy()
-            bumped[pos] += step
-            plus = float(np.sum(adjoint * topology.affine_weight_values(bumped, idx, eps)))
-            bumped[pos] -= 2 * step
-            minus = float(np.sum(adjoint * topology.affine_weight_values(bumped, idx, eps)))
-            numeric[pos] = (plus - minus) / (2 * step)
+        with fit_eps(eps):
+            for pos in np.ndindex(x.shape):
+                bumped = x.copy()
+                bumped[pos] += step
+                plus = float(np.sum(adjoint * topology.affine_weight_values(bumped, idx)))
+                bumped[pos] -= 2 * step
+                minus = float(np.sum(adjoint * topology.affine_weight_values(bumped, idx)))
+                numeric[pos] = (plus - minus) / (2 * step)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
 
 
@@ -261,7 +242,7 @@ class TestAffineWeightsNode:
         x = unit_rows(rng, k + extra, dim).astype(dtype)
         idx = neighbor_index_matrix(x, k)
         adjoint = rng.standard_normal(idx.shape).astype(dtype)
-        _, grad = fit_and_gradient(topology.affine_weights, x, idx, topology.DEFAULT_EPS, adjoint)
+        _, grad = fit_and_gradient(topology.affine_weights, x, idx, topology.EPS, adjoint)
         assert grad.tobytes() == column_major_fit_gradient(x, idx, adjoint).tobytes()
 
 
@@ -272,7 +253,8 @@ class TestTopologyVector:
         # row 0 sits between rows 1 and 2; rows 1 and 2 are fitted exactly by row 0
         x = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
         want = [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
-        np.testing.assert_allclose(topology.batch_topology_vectors(x, 2, eps=0.0), want, atol=1e-15)
+        with fit_eps(0.0):
+            np.testing.assert_allclose(topology.batch_topology_vectors(x, 2), want, atol=1e-15)
 
     def test_two_point_batch(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
