@@ -117,8 +117,8 @@ class LossStructure:
     """Discrete selections frozen before the differentiable pass.
 
     Holds the neighbor index matrices for both views, the mined negative
-    pair per anchor, and the padded support-union gather matrices used to
-    compare the two views' weights without indexing inside the graph.
+    pair per anchor, and the padded bool support-union gather tensors used
+    to compare the two views' weights without indexing inside the graph.
     frozen_wa / frozen_wp, when set, are the fitted affine weights of the two
     views as constants: the graph uses them in place of the affine solve, so
     no gradient flows through the fit. select_structure sets them in
@@ -137,15 +137,17 @@ class LossStructure:
     frozen_wp: np.ndarray | None = None
 
 
-def _union_gathers(idx_a: np.ndarray, idx_p: np.ndarray, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Selection tensors mapping weight vectors onto each anchor's support union.
+def _union_gathers(idx_a: np.ndarray, idx_p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bool selection tensors mapping weight vectors onto each anchor's support union.
 
     Row m of gather_a[i] is the indicator of which neighbor slot of anchor i
     lands at union position m; unions shorter than 2k are padded with the
     out-of-range index n, whose indicator row is all zero on both sides.
+    A product with weights reads them as 0/1 in the weights' dtype, and each
+    row holds at most one 1, so it selects each weight exactly.
     """
     rows, k = idx_a.shape
-    gather_a, gather_p = np.empty((2, rows, 2 * k, k), dtype=dtype)
+    gather_a, gather_p = np.empty((2, rows, 2 * k, k), dtype=bool)
 
     def gather(lo, hi):
         a, p = idx_a[lo:hi], idx_p[lo:hi]
@@ -179,7 +181,7 @@ def select_structure(va: np.ndarray, vp: np.ndarray, cfg: RunConfig) -> LossStru
             raise InvalidBatchError(f"k={cfg.k} needs a batch of at least {cfg.k + 1}, got {n}")
         st.idx_a = knn.neighbor_index_matrix(va, cfg.k)
         st.idx_p = knn.neighbor_index_matrix(vp, cfg.k)
-        st.gather_a, st.gather_p = _union_gathers(st.idx_a, st.idx_p, n, va.dtype)
+        st.gather_a, st.gather_p = _union_gathers(st.idx_a, st.idx_p, n)
         if cfg.topology_gradient_mode == "detached":
             st.frozen_wa = topology.affine_weight_values(va, st.idx_a)
             st.frozen_wp = topology.affine_weight_values(vp, st.idx_p)

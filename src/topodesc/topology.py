@@ -45,7 +45,8 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray) -> ad.Tensor:
     symmetric Gram matrix of the differences D_j = x_i - x_idx[i, j] and
     M = S + EPS * trace(S) / k * I, or S + EPS * I where trace(S) == 0. The
     trace-relative term keeps the conditioning scale-free. S and M are
-    formed in x's dtype and factored in double precision.
+    formed in x's dtype and factored in double precision, in chunks of
+    _rows.MIN_PART anchors that bound the temporaries of a row range.
 
     The backward pass is the closed form of the LLE weights' derivative
     (Roweis & Saul, Science 2000) and reuses M's Cholesky factors. For the
@@ -67,14 +68,15 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray) -> ad.Tensor:
     coef, eps = dtype.type(EPS / k), dtype.type(EPS)
 
     def fit(lo, hi):
-        np.subtract(x.value[lo:hi, None, :], x.value[idx[lo:hi]], out=d[lo:hi])
-        m = ad.mirrored_gram(d[lo:hi])
-        trace = m[:, diag, diag].sum(axis=-1)
-        nonzero[lo:hi] = trace != 0
-        shift = np.where(nonzero[lo:hi], trace * coef, eps)
-        m[:, diag, diag] += shift[:, None]
-        lower[lo:hi] = ad.cholesky_factor(m, first=lo)
-        del m
+        for c in range(lo, hi, _rows.MIN_PART):  # chunks bound the gather, Gram and factors
+            rows = slice(c, min(c + _rows.MIN_PART, hi))
+            np.subtract(x.value[rows, None, :], x.value[idx[rows]], out=d[rows])
+            m = ad.mirrored_gram(d[rows])
+            trace = m[:, diag, diag].sum(axis=-1)
+            nonzero[rows] = trace != 0
+            shift = np.where(nonzero[rows], trace * coef, eps)
+            m[:, diag, diag] += shift[:, None]
+            lower[rows] = ad.cholesky_factor(m, first=c)
         y64[lo:hi] = ad.cho_solve(lower[lo:hi], np.ones((hi - lo, k)))
 
     _rows.in_parts(n, fit)

@@ -87,6 +87,9 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
     weight 1 - lambda is 0, so the weights come out bit-identical, and the
     kNN, the support unions and the fits are skipped. Its row's
     mean_d_pos_topo is nan. Iteration 0 and every lambda < 1 step report d_T.
+
+    Each step's batches, tape, structure and graph are freed before the
+    next step samples, so a step's peak holds one step's arrays only.
     """
     train_ds = training_split(cfg, dataset)
     plain_cfg = replace(cfg, topology_gradient_mode="off")
@@ -124,6 +127,7 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
         # Tensor.tape and Tape.nodes form a cycle; break it so the step's graph is freed now.
         tape.nodes.clear()
         rows.append(replace(graph.report, mean_d_pos_topo=math.nan) if plain else graph.report)
+        del batch_a, batch_p, tape, leaves, desc_a, desc_p, structure, graph, grads
     return TrainResult(net=net, rows=rows)
 
 

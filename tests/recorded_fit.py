@@ -4,6 +4,9 @@ build_loss_graph keeps the fit off the tape at lambda = 1, where the topology
 term's weight 1 - lambda is an exact 0. This composition records both fits
 and the d_T chain at every lambda, so its backward sweep runs the fit's
 backward on those zero adjoints: the oracle that the shortcut changes no bit.
+It also multiplies the weights by the support-union indicators as 0/1
+arrays in the descriptors' dtype, the oracle for the bool indicators that
+build_loss_graph reads.
 """
 
 import numpy as np
@@ -25,8 +28,10 @@ def recorded_fit_loss_graph(desc_a, desc_p, lam, cfg, structure, tape):
 
     weights_a = topology.affine_weights(desc_a, structure.idx_a)
     weights_p = topology.affine_weights(desc_p, structure.idx_p)
-    ta = ad.matmul(ad.constant(tape, structure.gather_a), ad.reshape(weights_a, (n, cfg.k, 1)))
-    tp = ad.matmul(ad.constant(tape, structure.gather_p), ad.reshape(weights_p, (n, cfg.k, 1)))
+    gather_a = ad.constant(tape, structure.gather_a.astype(dtype))
+    gather_p = ad.constant(tape, structure.gather_p.astype(dtype))
+    ta = ad.matmul(gather_a, ad.reshape(weights_a, (n, cfg.k, 1)))
+    tp = ad.matmul(gather_p, ad.reshape(weights_p, (n, cfg.k, 1)))
     l1 = ad.sum_(ad.abs_(ad.sub(ta, tp)), axis=(1, 2))
     d_topo = ad.mul(ad.constant(tape, np.asarray(0.25, dtype=dtype)), l1)
     lam_c = ad.constant(tape, np.asarray(lam, dtype=dtype))

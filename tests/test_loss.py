@@ -530,6 +530,45 @@ class TestModeEquivalences:
         assert graph.report == want.report and graph.report.mean_d_pos_topo > 0
         assert grads == want_grads
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bool_indicators_match_float_ones(self, dtype, monkeypatch):
+        # each union slot holds at most one weight, so reading the indicators
+        # as 0/1 in the weights' dtype must change no bit of ta, tp, d_T or a gradient
+        rng = np.random.default_rng(18)
+        net = netmod.init_net((6, 16, 8), rng, dtype=dtype)
+        patches_a = rng.standard_normal((40, 6))
+        patches_p = patches_a + 0.3 * rng.standard_normal((40, 6))
+        cfg = RunConfig(k=5)
+        matmul = ad.matmul
+        products = []
+
+        def recording(a, b):
+            out = matmul(a, b)
+            products.append(out)
+            return out
+
+        monkeypatch.setattr(ad, "matmul", recording)
+
+        def step(build):
+            products.clear()
+            tape = ad.Tape()
+            leaves = netmod.make_leaves(net, tape)
+            desc_a = netmod.forward(net, patches_a, tape, leaves)
+            desc_p = netmod.forward(net, patches_p, tape, leaves)
+            st = L.select_structure(desc_a.value, desc_p.value, cfg)
+            assert st.gather_a.dtype == st.gather_p.dtype == bool
+            graph = build(desc_a, desc_p, 0.5, cfg, st, tape)
+            ad.backward(tape, graph.loss)
+            assert np.any(graph.weights_a.grad != 0) and np.any(graph.weights_p.grad != 0)
+            ta, tp = products
+            return [
+                t.tobytes()
+                for t in (ta.value, tp.value, graph.d_topo.value, graph.weights_a.grad, graph.weights_p.grad)
+            ] + [t.grad.tobytes() for t in leaves.values()]
+
+        got, want = step(L.build_loss_graph), step(recorded_fit_loss_graph)
+        assert got == want
+
     def test_identical_pair_has_zero_gradient(self):
         # rows whose self-dot rounds to 1 or above: d = 0 exactly, and the
         # sqrt and clip gates must pass no gradient there

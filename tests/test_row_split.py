@@ -182,12 +182,14 @@ class TestMiner:
 
 class TestGathers:
     @settings(max_examples=30, deadline=None)
-    @given(n=SIZES, k=st.integers(1, 20), dtype=DTYPES, seed=st.integers(0, 2**32 - 1))
-    def test_match_one_part(self, n, k, dtype, seed):
+    @given(n=SIZES, k=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_match_one_part(self, n, k, seed):
         rng = np.random.default_rng(seed)
         idx_a = knn.neighbor_index_matrix(unit_rows(rng, n, 4), k)
         idx_p = knn.neighbor_index_matrix(unit_rows(rng, n, 4), k)
-        assert_bitwise(one_and_split(loss._union_gathers, idx_a, idx_p, n, dtype))
+        results = one_and_split(loss._union_gathers, idx_a, idx_p, n)
+        assert results[0][0].dtype == bool
+        assert_bitwise(results)
 
 
 def fit_forward_backward(x, idx, eps, adjoint):
@@ -220,6 +222,45 @@ class TestFit:
         idx = knn.neighbor_index_matrix(x, k)
         adjoint = rng.standard_normal(idx.shape).astype(dtype)
         assert_bitwise(one_and_split(fit_forward_backward, x, idx, eps, adjoint))
+
+
+CHUNKED = 3 * _rows.MIN_PART + 37  # three full chunks and a short one on one CPU
+
+
+class TestFitChunks:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_chunks_match_one_unchunked_part(self, monkeypatch, dtype):
+        rng = np.random.default_rng(7)
+        x = unit_rows(rng, CHUNKED, 8)
+        # copies on both sides of the first chunk boundary: singular S that only EPS keeps factorable
+        x[_rows.MIN_PART] = x[_rows.MIN_PART - 1]
+        x = x.astype(dtype)
+        idx = knn.neighbor_index_matrix(x, 20)
+        adjoint = rng.standard_normal(idx.shape).astype(dtype)
+        factor = ad.cholesky_factor
+        chunks = []
+
+        def recording(m, first=0):
+            chunks.append((first, len(m)))
+            return factor(m, first)
+
+        monkeypatch.setattr(ad, "cholesky_factor", recording)
+        chunked, layouts = [], []
+        for cpus in (1, 2, 3):
+            chunks.clear()
+            chunked.append(in_parts_of(cpus, fit_forward_backward, x, idx, topology.EPS, adjoint))
+            layouts.append(sorted(chunks))
+        # (first anchor, rows) of each chunk: ranges cut at n // 2 and n // 3, chunks of MIN_PART within
+        assert layouts == [
+            [(0, 128), (128, 128), (256, 128), (384, 37)],
+            [(0, 128), (128, 82), (210, 128), (338, 83)],
+            [(0, 128), (128, 12), (140, 128), (268, 12), (280, 128), (408, 13)],
+        ]
+        monkeypatch.setattr(_rows, "MIN_PART", CHUNKED + 1)
+        chunks.clear()
+        whole = fit_forward_backward(x, idx, topology.EPS, adjoint)
+        assert chunks == [(0, CHUNKED)]
+        assert_bitwise([whole] + chunked)
 
 
 def stacked(n, k, dim, seed):
@@ -275,6 +316,17 @@ class TestFitErrorsNameTheGlobalAnchor:
         assert results[0][0] is DegenerateFitError
         assert results[0][1].endswith(f"for anchor {named}")
         assert results[1] == results[0] == results[2]
+
+    @pytest.mark.parametrize("bad, named", [([410], 410), ([300, 410], 300)])
+    def test_singular_system_in_a_later_chunk_of_the_upper_part(self, monkeypatch, bad, named):
+        # 410 lies in the last chunk of the last range on 1, 2 and 3 CPUs
+        negate_marked_grams(monkeypatch)
+        x, idx = stacked(CHUNKED, 4, 3, 4)
+        for i in bad:
+            mark_singular(x, idx, i)
+        for cpus in (1, 2, 3):
+            got = in_parts_of(cpus, raised, topology.affine_weight_values, x, idx)
+            assert got == (SingularSystemError, f"symmetric factorization failed for anchor {named}")
 
     def test_singular_in_the_upper_part_outranks_a_vanishing_normalizer_below(self, monkeypatch):
         negate_marked_grams(monkeypatch)

@@ -3,12 +3,14 @@
 import csv
 import gc
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from topodesc import autodiff, data, train
+from topodesc import autodiff, config, data, train
 from topodesc import loss as lossmod
 from topodesc.config import RunConfig
 from topodesc.errors import InvalidArgumentError
@@ -169,6 +171,58 @@ class TestRunTraining:
         finally:
             gc.enable()
         assert after == before
+
+    @pytest.mark.parametrize("lambda_mode", ["dynamic", "fixed:0.5"])
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_each_step_is_freed_before_the_next_one_selects(self, precision, lambda_mode, monkeypatch):
+        # dynamic runs steps 0-4 at lambda = 1 and 5-11 below it; fixed:0.5 all below
+        select, build = lossmod.select_structure, lossmod.build_loss_graph
+        held = []  # weak references to the last step's structure and graph
+        calls = []
+
+        def selecting(va, vp, cfg):
+            assert all(ref() is None for ref in held), f"step {len(calls) - 1} is still alive"
+            calls.append(None)
+            structure = select(va, vp, cfg)
+            held[:] = [weakref.ref(structure)]
+            return structure
+
+        def building(*args):
+            graph = build(*args)
+            held.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(lossmod, "select_structure", selecting)
+        monkeypatch.setattr(lossmod, "build_loss_graph", building)
+        cfg = tiny_config(precision=precision, lambda_mode=lambda_mode)
+        gc.collect()
+        gc.disable()  # freed by reference counts alone, not by a collection
+        try:
+            train.run_training(cfg, dataset=tiny_dataset())
+        finally:
+            gc.enable()
+        assert len(calls) == cfg.iterations
+
+    @pytest.mark.parametrize(
+        "lambda_mode, ceiling_mib",
+        # traced peaks in this order on a 2-CPU x86_64 VM: 17.8 MiB (36.2 before each
+        # step was freed before the next, with bool union indicators) and 38.7 MiB (82.2)
+        [("dynamic", 24), ("fixed:0.5", 52)],
+    )
+    def test_paper_step_memory_ceiling(self, lambda_mode, ceiling_mib):
+        ds = data.generate(2, 2048, 16, 0.6, 0.3)
+        cfg = config.resolve_config(
+            "paper", {},
+            {"seed": 2, "iterations": 4, "net_widths": (16, 64, 64, 32), "lambda_mode": lambda_mode},
+        )
+        assert cfg.batch_size == 1024 and cfg.k == 20
+        tracemalloc.start()
+        try:
+            train.run_training(cfg, dataset=ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ceiling_mib * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
     def test_batch_larger_than_train_split_rejected(self):
         ds = tiny_dataset(scenes=10)  # train split keeps 8 scenes
