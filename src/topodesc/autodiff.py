@@ -14,20 +14,46 @@ and clip passes gradient strictly inside the interval.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
+from . import _rows
 from .errors import DegenerateDescriptorError, SingularSystemError
 
 
 class Tape:
-    """Ordered record of differentiable operations for one step."""
+    """Ordered record of differentiable operations for one step.
+
+    Nodes recorded on tapes of their own can be joined onto this one as
+    branches (join): the backward sweep runs the branches side by side.
+    """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.branches: list[tuple[int, int]] = []  # [start, stop) node ranges, in order
+        self.branch_rows = 0
 
     def add(self, node: "Tensor") -> None:
         self.nodes.append(node)
+
+    def join(self, rows: int, *tapes: "Tape") -> None:
+        """Move each tape's nodes, in order, onto the end of this one, each as a branch.
+
+        The branches must share no trainable tensor (give each its own
+        leaves), so no two of them accumulate into one gradient. rows is
+        the batch the branches compute; _rows.side_by_side decides from it
+        whether backward sweeps them at once. A second join turns the
+        branches of the first into plain nodes.
+        """
+        self.branch_rows, self.branches = rows, []
+        for tape in tapes:
+            start = len(self.nodes)
+            for t in tape.nodes:
+                t.tape = self
+            self.nodes += tape.nodes
+            tape.nodes.clear()
+            self.branches.append((start, len(self.nodes)))
 
 
 class Tensor:
@@ -90,6 +116,13 @@ def node(tape: Tape, value, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
+def _sweep(nodes: list[Tensor]) -> None:
+    for t in reversed(nodes):
+        if t.grad is None or t._backward is None:
+            continue
+        t._backward(t.grad)
+
+
 def backward(tape: Tape, root: Tensor | None = None, adjoint=1.0) -> None:
     """Reverse sweep seeding the root (default: last recorded node).
 
@@ -97,6 +130,10 @@ def backward(tape: Tape, root: Tensor | None = None, adjoint=1.0) -> None:
     making the sweep a general vector-Jacobian product. An empty tape, or a
     root that nothing trainable feeds, is a no-op: every leaf keeps a zero
     (None) gradient.
+
+    The nodes after the tape's branches are swept first, on this thread.
+    The branches follow, side by side where _rows.side_by_side runs them at
+    once, and the nodes before them last.
     """
     if not tape.nodes:
         return
@@ -106,10 +143,14 @@ def backward(tape: Tape, root: Tensor | None = None, adjoint=1.0) -> None:
         return
     seed = np.asarray(adjoint, dtype=root.value.dtype)
     root._accumulate(seed)
-    for t in reversed(tape.nodes):
-        if t.grad is None or t._backward is None:
-            continue
-        t._backward(t.grad)
+    if not tape.branches:
+        return _sweep(tape.nodes)
+    first, last = tape.branches[0][0], tape.branches[-1][1]
+    _sweep(tape.nodes[last:])
+    _rows.side_by_side(
+        tape.branch_rows, *[partial(_sweep, tape.nodes[lo:hi]) for lo, hi in reversed(tape.branches)]
+    )
+    _sweep(tape.nodes[:first])
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +348,14 @@ def normalize_rows(x: Tensor) -> Tensor:
 # (topology.affine_weights) and the two tape ops below all call them.
 
 
-def mirrored_gram(d: np.ndarray) -> np.ndarray:
+def gram(d: np.ndarray) -> np.ndarray:
     """S_i = D_i D_i^T for a stack of difference matrices (n, k, dim).
 
-    The lower triangle is copied onto the upper in place, so every S_i is
-    bitwise symmetric.
+    Every S_i is bitwise symmetric: numpy forms a matrix's product with its
+    own transpose by one symmetric rank-k update and copies one triangle
+    onto the other.
     """
-    full = d @ d.swapaxes(-1, -2)
-    iu, ju = np.triu_indices(full.shape[-1], 1)
-    full[..., iu, ju] = full[..., ju, iu]
-    return full
+    return d @ d.swapaxes(-1, -2)
 
 
 def cholesky_factor(m: np.ndarray, first: int = 0) -> np.ndarray:
@@ -358,8 +397,8 @@ def cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gram_batched(d: Tensor) -> Tensor:
-    """Tape op for mirrored_gram; the backward is (g + g^T) D."""
-    value = mirrored_gram(d.value)
+    """Tape op for gram; the backward is (g + g^T) D."""
+    value = gram(d.value)
 
     def back(g):
         d._accumulate((g + g.swapaxes(-1, -2)) @ d.value)

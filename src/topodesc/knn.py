@@ -11,7 +11,9 @@ partial selection of the k nearest, ordered by (distance, index), converts
 only the k candidates and the (k+1)-th nearest to distances, and any row
 whose k-th distance is shared by an entry left outside is re-sorted in
 full. Everything after the product is per row and runs in row ranges
-across the CPUs (``_rows``).
+across the CPUs (``_rows``). Training runs the two views' selections one
+after the other: side by side, their two (n, n) products would double a
+step's largest array.
 """
 
 from __future__ import annotations

@@ -85,7 +85,8 @@ def hardest_negatives(va: np.ndarray, vp: np.ndarray) -> tuple[np.ndarray, np.nd
     1, as the distance clips it; all of them once that reaches -1, where
     every product clips to distance 2). Only those candidates become
     distances, by the same elementwise conversion, so ties are ties of the
-    computed distances.
+    computed distances. The scans for the maxima and for the candidates run
+    in row ranges across the CPUs (``_rows``); the product stays whole.
     """
     g = knn.unit_product(va, vp)
     n = g.shape[0]
@@ -93,13 +94,25 @@ def hardest_negatives(va: np.ndarray, vp: np.ndarray) -> tuple[np.ndarray, np.nd
         raise InvalidBatchError(f"need a batch of >= 2 to mine negatives, got {n}")
     np.fill_diagonal(g, -np.inf)
     lowest = np.finfo(g.dtype).min  # below every product, above the masked diagonal
-    t_row = np.minimum(g.max(axis=1), 1.0) - _TIE_TOL
-    t_col = np.minimum(g.max(axis=0), 1.0) - _TIE_TOL
+    t_row = np.empty(n)
+
+    def maxima(lo, hi):
+        t_row[lo:hi] = g[lo:hi].max(axis=1)
+        return g[lo:hi].max(axis=0)
+
+    # a maximum does not depend on the order it is taken in: the ranges' column maxima merge exactly
+    t_col = np.max(_rows.in_parts(n, maxima), axis=0)
+    t_row = np.minimum(t_row, 1.0) - _TIE_TOL
+    t_col = np.minimum(t_col, 1.0) - _TIE_TOL
     t_row[t_row <= -1.0] = lowest
     t_col[t_col <= -1.0] = lowest
-    mask = g >= t_row[:, None]
-    mask |= g >= t_col
-    flat = np.flatnonzero(mask)
+
+    def scan(lo, hi):
+        mask = g[lo:hi] >= t_row[lo:hi, None]
+        mask |= g[lo:hi] >= t_col
+        return np.flatnonzero(mask) + lo * n
+
+    flat = np.concatenate(_rows.in_parts(n, scan))
     i, j = np.divmod(flat, n)
     product = g.ravel()[flat]
     in_row = product >= t_row[i]

@@ -12,9 +12,13 @@ the one trace-relative Tikhonov term ``EPS``, whose backward is the closed
 form of the LLE weights' derivative. Training records it on the tape in
 "through-weights" mode while lambda < 1; ``affine_weight_values`` and
 ``batch_topology_vectors`` run it on constants, as every other step does.
-Each anchor's system needs its own rows only, so the forward and the
-backward's per-anchor part run in row ranges across the CPUs (``_rows``);
-the scatter onto shared neighbor rows stays whole: its order fixes the bits.
+Each anchor's system needs its own rows only, so the gathers, Gram
+matrices and factorizations of the forward and the per-anchor products of
+the backward run in row ranges across the CPUs (``_rows``). The two
+substitutions (``autodiff.cho_solve``) run whole: their many small numpy
+calls hold the GIL, and in two threads they ran at 0.69 times the speed of
+one. The scatter onto shared neighbor rows stays whole too: its order fixes
+the bits.
 The d_T that training uses is the loss graph's
 (``loss.build_loss_graph``); ``batch_topology_vectors`` and
 ``topology_distance`` spell out the definition on dense rows.
@@ -63,7 +67,7 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray) -> ad.Tensor:
     dtype = x.value.dtype
     diag = np.arange(k)
     d = np.empty((n, k, x.value.shape[1]), dtype=dtype)
-    lower, y64 = np.empty((n, k, k)), np.empty((n, k), order="F")  # y64 as cho_solve lays it out
+    lower = np.empty((n, k, k))
     nonzero = np.empty(n, dtype=bool)
     coef, eps = dtype.type(EPS / k), dtype.type(EPS)
 
@@ -71,15 +75,15 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray) -> ad.Tensor:
         for c in range(lo, hi, _rows.MIN_PART):  # chunks bound the gather, Gram and factors
             rows = slice(c, min(c + _rows.MIN_PART, hi))
             np.subtract(x.value[rows, None, :], x.value[idx[rows]], out=d[rows])
-            m = ad.mirrored_gram(d[rows])
+            m = ad.gram(d[rows])
             trace = m[:, diag, diag].sum(axis=-1)
             nonzero[rows] = trace != 0
             shift = np.where(nonzero[rows], trace * coef, eps)
             m[:, diag, diag] += shift[:, None]
             lower[rows] = ad.cholesky_factor(m, first=c)
-        y64[lo:hi] = ad.cho_solve(lower[lo:hi], np.ones((hi - lo, k)))
 
     _rows.in_parts(n, fit)
+    y64 = ad.cho_solve(lower, np.ones((n, k)))  # column-major
     y = y64.astype(dtype, copy=False)
     ysum = y.sum(axis=1, keepdims=True)
     denom = ysum.ravel()
@@ -91,14 +95,12 @@ def affine_weights(x: ad.Tensor, idx: np.ndarray) -> ad.Tensor:
 
     def back(g):
         g = np.asarray(g, dtype=np.float64)
+        gb = ad.cho_solve(lower, (g - (g * w).sum(axis=1, keepdims=True)) / ysum)
         grad_d = np.empty(d.shape)
 
         def part(lo, hi):
-            gp = g[lo:hi]
-            rhs = (gp - (gp * w[lo:hi]).sum(axis=1, keepdims=True)) / ysum[lo:hi]
-            gb = ad.cho_solve(lower[lo:hi], rhs)
             # C order keeps the matmul below on BLAS; gb and y64 are column-major
-            grad_s = np.multiply(-gb[:, :, None], y64[lo:hi, None, :], order="C")
+            grad_s = np.multiply(-gb[lo:hi, :, None], y64[lo:hi, None, :], order="C")
             trace_g = grad_s[:, diag, diag].sum(axis=1)
             grad_s[:, diag, diag] += (trace_g * coef * nonzero[lo:hi])[:, None]
             np.matmul(grad_s + grad_s.swapaxes(-1, -2), d[lo:hi], out=grad_d[lo:hi])

@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import _rows
 from . import autodiff as ad
 from . import data as datamod
 from . import loss as lossmod
@@ -74,6 +76,29 @@ def training_split(cfg: RunConfig, dataset: datamod.DatasetFile) -> datamod.Data
     return train_ds
 
 
+# The positive view's net pass runs on a worker thread. perfbench's tracer
+# replaces netmod.forward with a wrapper whose one span stack only the
+# calling thread may touch, so the worker calls the function bound here.
+_untraced_forward = netmod.forward
+
+
+def _view(net: netmod.EmbeddingNet, patches: np.ndarray, forward):
+    """One view's net pass on a tape and leaves of its own: (tape, leaves, descriptors)."""
+    tape = ad.Tape()
+    leaves = netmod.make_leaves(net, tape)
+    return tape, leaves, forward(net, patches, tape, leaves)
+
+
+def _summed_grads(leaves_a: dict, leaves_p: dict) -> dict:
+    """Each parameter's gradient over both views, summed as one shared leaf would sum it.
+
+    A shared leaf's backward sweep reaches the positive view's nodes first,
+    since they were recorded last: it copies their gradient, then adds the
+    anchor view's. Every leaf has a gradient, since the loss reads both views.
+    """
+    return {name: leaf.grad + leaves_a[name].grad for name, leaf in leaves_p.items()}
+
+
 def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
     """Train a fresh net on the training split of the dataset.
 
@@ -90,6 +115,15 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
 
     Each step's batches, tape, structure and graph are freed before the
     next step samples, so a step's peak holds one step's arrays only.
+
+    Each view's net pass records on a tape and leaves of its own, joined
+    onto the step's tape as a branch (autodiff.Tape.join). At a batch that
+    _rows splits, the positive view's pass runs on a pool worker while this
+    thread runs the anchor's, and the backward sweep runs the two branches
+    side by side after the loss nodes. The parameter gradients are summed
+    as one shared set of leaves would sum them, so the weights are bitwise
+    those of a one-thread sweep. When both views degenerate, the anchor
+    view's error is raised.
     """
     train_ds = training_split(cfg, dataset)
     plain_cfg = replace(cfg, topology_gradient_mode="off")
@@ -110,9 +144,12 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
         step_cfg = plain_cfg if plain else cfg
         tape = ad.Tape()
         try:
-            leaves = netmod.make_leaves(net, tape)
-            desc_a = netmod.forward(net, batch_a, tape, leaves)
-            desc_p = netmod.forward(net, batch_p, tape, leaves)
+            (tape_a, leaves_a, desc_a), (tape_p, leaves_p, desc_p) = _rows.side_by_side(
+                cfg.batch_size,
+                partial(_view, net, batch_a, netmod.forward),
+                partial(_view, net, batch_p, _untraced_forward),
+            )
+            tape.join(cfg.batch_size, tape_a, tape_p)
             structure = lossmod.select_structure(desc_a.value, desc_p.value, step_cfg)
             graph = lossmod.build_loss_graph(desc_a, desc_p, lam, step_cfg, structure, tape)
         except (DegenerateDescriptorError, DegenerateFitError, SingularSystemError) as exc:
@@ -120,14 +157,15 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
         if not np.isfinite(graph.loss.value):
             raise TrainingDivergenceError(f"loss is {float(graph.loss.value)!r}", i - 1)
         ad.backward(tape, graph.loss)
-        grads = {name: t.grad for name, t in leaves.items() if t.grad is not None}
+        grads = _summed_grads(leaves_a, leaves_p)
         state = netmod.sgd_step(
             net, grads, learning_rate(i, cfg), MOMENTUM, WEIGHT_DECAY, state
         )
         # Tensor.tape and Tape.nodes form a cycle; break it so the step's graph is freed now.
         tape.nodes.clear()
         rows.append(replace(graph.report, mean_d_pos_topo=math.nan) if plain else graph.report)
-        del batch_a, batch_p, tape, leaves, desc_a, desc_p, structure, graph, grads
+        del batch_a, batch_p, tape, tape_a, tape_p, leaves_a, leaves_p, desc_a, desc_p
+        del structure, graph, grads
     return TrainResult(net=net, rows=rows)
 
 

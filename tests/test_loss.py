@@ -491,7 +491,7 @@ class TestModeEquivalences:
             raise AssertionError("a detached loss graph must not fit weights")
 
         monkeypatch.setattr(topology, "affine_weights", refuse)
-        monkeypatch.setattr(ad, "mirrored_gram", refuse)
+        monkeypatch.setattr(ad, "gram", refuse)
         monkeypatch.setattr(ad, "cholesky_factor", refuse)
         tape = ad.Tape()
         graph = L.build_loss_graph(ad.leaf(tape, va), ad.leaf(tape, vp), 0.25, cfg, st, tape)

@@ -154,6 +154,7 @@ class TestFusedNodes:
         )
         fused = train.run_training(cfg, ds)
         monkeypatch.setattr(nm, "forward", recorded_forward)
+        monkeypatch.setattr(train, "_untraced_forward", recorded_forward)  # the positive view's pass
         recorded = train.run_training(cfg, ds)
         assert fused.rows == recorded.rows
         for got, want in zip(nm.parameters(fused.net).values(), nm.parameters(recorded.net).values()):

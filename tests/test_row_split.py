@@ -2,7 +2,8 @@
 
 Each test runs a kernel once with every row in one part and once split into
 contiguous row ranges (``_rows._cpus`` stands in for the CPUs the process
-may use), on batches at and just above the 256-row threshold.
+may use), on batches at and just above the 256-row threshold. The pinning
+tests need two real CPUs and ``os.sched_setaffinity``.
 """
 
 import os
@@ -100,6 +101,18 @@ class TestInParts:
         with pytest.raises(ValueError, match="part 128"):
             _rows.in_parts(3 * _rows.MIN_PART, upper_only)
 
+    def test_pool_calls_keep_the_callers_numpy_error_state(self, monkeypatch):
+        monkeypatch.setattr(_rows, "_cpus", lambda: 2)
+
+        def overflow(lo, hi):
+            return np.float64(1e300) * np.float64(1e300)
+
+        with np.errstate(over="ignore"):
+            assert _rows.in_parts(THRESHOLD, overflow) == [np.inf, np.inf]
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                _rows.side_by_side(THRESHOLD, lambda: None, lambda: overflow(0, 0))
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     # the fork is deliberate: a child of a process with a live pool must not hang
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
@@ -125,6 +138,68 @@ class TestInParts:
                 pytest.fail("the forked child hung in a split kNN")
             time.sleep(0.02)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+CPUS = frozenset(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else frozenset()
+CAN_PIN = hasattr(os, "sched_setaffinity") and len(CPUS) >= 2
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A pool started by the test, shut down after it; the session's pool is put back."""
+    monkeypatch.setattr(_rows, "_pool", None)
+    monkeypatch.setattr(_rows, "_home", ())
+    yield
+    if _rows._pool is not None:
+        _rows._pool.shutdown()
+
+
+def masks_of_the_ranges(n):
+    """(range start, thread, CPU mask) of each range of one split; every range waits for all."""
+    parts = _rows._parts(n)
+    barrier = threading.Barrier(parts, timeout=30)
+
+    def fn(lo, hi):
+        barrier.wait()  # no range ends before all run, so each is on its own thread
+        return lo, threading.get_ident(), frozenset(os.sched_getaffinity(0))
+
+    return _rows.in_parts(n, fn)
+
+
+@pytest.mark.skipif(not CAN_PIN, reason="needs os.sched_setaffinity and two CPUs")
+@pytest.mark.usefixtures("fresh_pool")
+class TestPinning:
+    def test_each_range_runs_alone_on_its_own_cpu(self):
+        seen = masks_of_the_ranges(len(CPUS) * _rows.MIN_PART)
+        assert len(seen) == len(CPUS)
+        assert seen[0][1] == threading.get_ident()
+        assert len({ident for _, ident, _ in seen}) == len(seen)
+        assert all(len(mask) == 1 for _, _, mask in seen)
+        cpus = [next(iter(mask)) for _, _, mask in seen]
+        assert len(set(cpus)) == len(cpus) and set(cpus) <= CPUS
+
+    def test_the_callers_mask_is_restored(self):
+        x = unit_rows(np.random.default_rng(5), THRESHOLD + 3, 8)
+        knn.neighbor_index_matrix(x, 4)
+        assert os.sched_getaffinity(0) == CPUS
+        masks_of_the_ranges(THRESHOLD)
+        assert os.sched_getaffinity(0) == CPUS
+
+    def test_more_parts_than_cpus_change_no_bit(self, monkeypatch):
+        real = len(CPUS)
+        monkeypatch.setattr(_rows, "_cpus", lambda: real + 1)
+        seen = masks_of_the_ranges((real + 1) * _rows.MIN_PART)
+        # the caller and one worker per CPU left are pinned; the extra worker is not
+        assert sorted(len(mask) for _, _, mask in seen) == [1] * real + [real]
+        assert os.sched_getaffinity(0) == CPUS
+        rng = np.random.default_rng(6)
+        x = unit_rows(rng, THRESHOLD + 40, 8)
+        idx = knn.neighbor_index_matrix(x, 6)
+        adjoint = rng.standard_normal(idx.shape)
+        split = fit_forward_backward(x, idx, topology.EPS, adjoint)
+        whole = in_parts_of(1, fit_forward_backward, x, idx, topology.EPS, adjoint)
+        assert np.array_equal(in_parts_of(1, knn.neighbor_index_matrix, x, 6), idx)
+        assert_bitwise([whole, split])
 
 
 class TestKnn:
@@ -275,14 +350,14 @@ MARK = 1024.0
 
 def negate_marked_grams(monkeypatch):
     """Fits whose first difference starts with MARK get -S: indefinite even regularized."""
-    real = ad.mirrored_gram
+    real = ad.gram
 
     def gram(d):
         full = real(d)
         full[d[:, 0, 0] == MARK] *= -1
         return full
 
-    monkeypatch.setattr(ad, "mirrored_gram", gram)
+    monkeypatch.setattr(ad, "gram", gram)
 
 
 def mark_singular(x, idx, i):

@@ -91,7 +91,7 @@ def column_major_fit_gradient(x, idx, adjoint, eps=topology.EPS):
     """
     n, k = idx.shape
     d = x[:n, None, :] - x[idx]
-    m = ad.mirrored_gram(d)
+    m = ad.gram(d)
     diag = np.arange(k)
     trace = m[:, diag, diag].sum(axis=-1)
     coef = np.asarray(eps / k, dtype=x.dtype)

@@ -10,10 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from topodesc import autodiff, config, data, train
+from topodesc import _rows, autodiff, config, data, train
+from topodesc import autodiff as ad
 from topodesc import loss as lossmod
+from topodesc import net as netmod
 from topodesc.config import RunConfig
-from topodesc.errors import InvalidArgumentError
+from topodesc.errors import DegenerateDescriptorError, InvalidArgumentError
 from topodesc.loss import resolve_lambda
 from topodesc.net import embed
 
@@ -278,6 +280,111 @@ class TestTopologyReportEvery:
         )
         assert_same_weights(off, fixed)
         assert [replace(r, mean_d_pos_topo=0.0) for r in fixed.rows] == off.rows
+
+
+VIEW_BATCH = 2 * _rows.MIN_PART + 5  # the smallest batches that run the views side by side
+
+
+def recording_steps(monkeypatch):
+    """Copies of the gradients each step hands to sgd_step, in step order."""
+    steps = []
+    sgd_step = netmod.sgd_step
+
+    def recording(net, grads, *args):
+        steps.append({name: g.copy() for name, g in grads.items()})
+        return sgd_step(net, grads, *args)
+
+    monkeypatch.setattr(netmod, "sgd_step", recording)
+    return steps
+
+
+def one_tape(monkeypatch):
+    """Both views' passes on the step's one tape, with one shared set of leaves.
+
+    Every view's nodes land in a single branch, swept on this thread, and
+    the shared leaves hold the summed gradients: the trainer as it was
+    before each view got its own tape and leaves.
+    """
+    shared = []
+
+    def view(net, patches, forward):
+        if len(shared) % 2 == 0:  # a step's anchor view: a new tape and leaves
+            tape = ad.Tape()
+            shared.append((tape, netmod.make_leaves(net, tape)))
+        else:
+            shared.append(shared[-1])
+        tape, leaves = shared[-1]
+        return tape, leaves, forward(net, patches, tape, leaves)
+
+    monkeypatch.setattr(train, "_view", view)
+    monkeypatch.setattr(
+        train, "_summed_grads", lambda leaves, _: {n: t.grad for n, t in leaves.items() if t.grad is not None}
+    )
+
+
+def trained_on_cpus(monkeypatch, cpus, cfg, ds, oracle=False):
+    """(net, rows, each step's gradients) of a run with _rows seeing `cpus` CPUs."""
+    with monkeypatch.context() as m:
+        m.setattr(_rows, "_cpus", lambda: cpus)
+        steps = recording_steps(m)
+        if oracle:
+            one_tape(m)
+        result = train.run_training(cfg, ds)
+    return result.net, result.rows, steps
+
+
+class TestViewPasses:
+    """Each view's net pass on its own tape and leaves, side by side above the split threshold."""
+
+    @pytest.mark.parametrize(
+        "mode, lambda_mode",
+        [("off", "dynamic"), ("through-weights", "fixed:0.5"), ("detached", "fixed:0.5")],
+    )
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_match_the_one_tape_sweep_bitwise(self, monkeypatch, precision, mode, lambda_mode):
+        ds = data.generate(6, 2 * VIEW_BATCH, 6, 0.6, 0.3)
+        cfg = tiny_config(
+            precision=precision, topology_gradient_mode=mode, lambda_mode=lambda_mode,
+            batch_size=VIEW_BATCH, k=5, iterations=8,
+        )
+        runs = [
+            trained_on_cpus(monkeypatch, 2, cfg, ds),
+            trained_on_cpus(monkeypatch, 1, cfg, ds),
+            trained_on_cpus(monkeypatch, 1, cfg, ds, oracle=True),
+        ]
+        (net, rows, steps) = runs[0]
+        assert len(steps) == cfg.iterations
+        for other_net, other_rows, other_steps in runs[1:]:
+            assert other_rows == rows
+            for got, want in zip(steps, other_steps):
+                assert got.keys() == want.keys() == set(netmod.parameters(net))
+                for name in got:
+                    assert got[name].dtype == want[name].dtype == cfg.dtype()
+                    assert got[name].tobytes() == want[name].tobytes(), name
+            for a, b in zip(net.weights + net.biases, other_net.weights + other_net.biases):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_anchor_views_error_wins_when_both_views_degenerate(self, monkeypatch, cpus):
+        # through one linear layer, huge patches overflow the descriptors' squared
+        # norms: the anchor view's first such row is 0, the positive view's row 1
+        ds = data.generate(7, 2 * VIEW_BATCH, 6, 0.6, 0.3)
+        sample_batch = data.sample_batch
+
+        def degenerate(*args):
+            ids, batch_a, batch_p = sample_batch(*args)
+            batch_a[:] = 1e300
+            batch_p[1:] = 1e300
+            return ids, batch_a, batch_p
+
+        monkeypatch.setattr(_rows, "_cpus", lambda: cpus)
+        monkeypatch.setattr(data, "sample_batch", degenerate)
+        cfg = tiny_config(net_widths=(6, 8), batch_size=VIEW_BATCH, k=5, iterations=2)
+        with np.errstate(over="ignore"), pytest.raises(train.TrainingDivergenceError) as info:
+            train.run_training(cfg, ds)
+        assert str(info.value) == "non-finite descriptor at row 0"
+        assert isinstance(info.value.__cause__, DegenerateDescriptorError)
+        assert info.value.last_good_iteration == -1
 
 
 class TestLog:
