@@ -144,11 +144,9 @@ def cmd_train(args) -> int:
     file_values = parse_config_file(args.config) if args.config else {}
     cfg = resolve_config(args.preset, file_values, flag_values)
     if not cfg.dataset:
-        print("error: a dataset path is required (--dataset or config file)", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidArgumentError("a dataset path is required (--dataset or config file)")
     if not cfg.out_dir:
-        print("error: an output directory is required (--out-dir or config file)", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidArgumentError("an output directory is required (--out-dir or config file)")
     # Reject a run that config.txt cannot reproduce, or that cannot start,
     # before writing anything.
     config_text = format_config(cfg)
@@ -157,15 +155,7 @@ def cmd_train(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(config_text)
-    try:
-        result = run_training(cfg, dataset)
-    except TrainingDivergenceError as exc:
-        print(
-            f"error: training diverged: {exc}; last good iteration "
-            f"{exc.last_good_iteration}",
-            file=sys.stderr,
-        )
-        return EXIT_DIVERGED
+    result = run_training(cfg, dataset)
     checkpoint_path = os.path.join(cfg.out_dir, "model.tcd1")
     log_path = os.path.join(cfg.out_dir, "train_log.csv")
     netmod.save_checkpoint(result.net, checkpoint_path)
@@ -289,9 +279,13 @@ def main(argv=None) -> int:
     except (OSError, DatasetFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DegenerateDescriptorError, DegenerateFitError, SingularSystemError) as exc:
+    except (FloatingPointError, DegenerateDescriptorError, DegenerateFitError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except TrainingDivergenceError as exc:
+        last = exc.last_good_iteration
+        print(f"error: training diverged: {exc}; last good iteration {last}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
-"""Central finite-difference verification of the tape gradients.
+"""Central finite-difference verification of the gradients training computes.
 
-The discrete structure of the loss (neighbor supports, mined negatives,
-and, in detached mode, the fitted weights themselves) is frozen at the base
-point, so the difference quotient probes exactly the function the tape
-differentiates rather than a function with moving selections.
+The analytic gradients are train.run_step's: the two views' net passes on
+tapes and leaves of their own, swept as the same branches training sweeps,
+and summed by the same code. The discrete structure of the loss (neighbor
+supports, mined negatives, and, in detached mode, the fitted weights
+themselves) is frozen at the base point, so the difference quotient probes
+exactly the function the tape differentiates rather than a function with
+moving selections.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from . import loss as lossmod
 from . import net as netmod
 from .config import RunConfig
 from .errors import InvalidArgumentError
+from .train import run_step
 
 
 @dataclass(frozen=True)
@@ -34,11 +38,8 @@ class GradCheckReport:
 
 def _frozen_loss(net, patches_a, patches_p, lam, cfg, structure) -> float:
     tape = ad.Tape()
-    leaves = netmod.make_leaves(net, tape, trainable=False)
-    da = netmod.forward(net, patches_a, tape, leaves)
-    dp = netmod.forward(net, patches_p, tape, leaves)
-    graph = lossmod.build_loss_graph(da, dp, lam, cfg, structure, tape)
-    return float(graph.loss.value)
+    da, dp = (ad.constant(tape, netmod.embed(net, x)) for x in (patches_a, patches_p))
+    return float(lossmod.build_loss_graph(da, dp, lam, cfg, structure, tape).loss.value)
 
 
 def grad_check(
@@ -55,24 +56,17 @@ def grad_check(
 
     Runs in double precision regardless of the incoming net dtype. Above
     max_params parameters, a seeded random subset of coordinates is probed.
+    A NaN error is the worst error. Raises FloatingPointError when the loss
+    at the base point is not finite.
     """
     if not 0.0 < step < np.inf:
         raise InvalidArgumentError(f"step must be positive and finite, got {step!r}")
+    if max_params < 1:
+        raise InvalidArgumentError(f"max_params must be at least 1, got {max_params!r}")
     net = netmod.cast_net(net, np.float64)
     patches_a = np.asarray(patches_a, dtype=np.float64)
     patches_p = np.asarray(patches_p, dtype=np.float64)
-
-    tape = ad.Tape()
-    leaves = netmod.make_leaves(net, tape)
-    da = netmod.forward(net, patches_a, tape, leaves)
-    dp = netmod.forward(net, patches_p, tape, leaves)
-    structure = lossmod.select_structure(da.value, dp.value, cfg)
-    graph = lossmod.build_loss_graph(da, dp, lam, cfg, structure, tape)
-    ad.backward(tape, graph.loss)
-    analytic = {
-        name: t.grad if t.grad is not None else np.zeros_like(t.value)
-        for name, t in leaves.items()
-    }
+    structure, _, analytic = run_step(net, patches_a, patches_p, lam, cfg)
 
     arrays = netmod.parameters(net)
     coords = [
@@ -98,9 +92,11 @@ def grad_check(
         numeric = (f_plus - f_minus) / (2.0 * step)
         a = float(analytic[name][idx])
         err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-        if err > worst_err:
+        if not err <= worst_err:
             worst_err = err
             worst_name = f"{name}[{','.join(str(i) for i in idx)}]"
+            if np.isnan(err):
+                break
     return GradCheckReport(
         max_relative_error=worst_err, worst_parameter=worst_name, step_size=step
     )

@@ -99,8 +99,37 @@ def _summed_grads(leaves_a: dict, leaves_p: dict) -> dict:
     return {name: leaf.grad + leaves_a[name].grad for name, leaf in leaves_p.items()}
 
 
+def run_step(net: netmod.EmbeddingNet, batch_a: np.ndarray, batch_p: np.ndarray, lam: float, cfg: RunConfig):
+    """The one training step's structure, loss graph and parameter gradients.
+
+    Each view's net pass records on a tape and leaves of its own, joined
+    onto the step's tape as a branch (autodiff.Tape.join). At a batch that
+    _rows splits, the positive view's pass runs on a pool worker while this
+    thread runs the anchor's, and the backward sweep runs the two branches
+    side by side after the loss nodes. The gradients are summed as one
+    shared set of leaves would sum them, so they are bitwise those of a
+    one-thread sweep. When both views degenerate, the anchor view's error
+    is raised. A non-finite loss raises FloatingPointError before the sweep.
+    """
+    tape = ad.Tape()
+    (tape_a, leaves_a, desc_a), (tape_p, leaves_p, desc_p) = _rows.side_by_side(
+        len(batch_a),
+        partial(_view, net, batch_a, netmod.forward),
+        partial(_view, net, batch_p, _untraced_forward),
+    )
+    tape.join(len(batch_a), tape_a, tape_p)
+    structure = lossmod.select_structure(desc_a.value, desc_p.value, cfg)
+    graph = lossmod.build_loss_graph(desc_a, desc_p, lam, cfg, structure, tape)
+    if not np.isfinite(graph.loss.value):
+        raise FloatingPointError(f"loss is {float(graph.loss.value)!r}")
+    ad.backward(tape, graph.loss)
+    # Tensor.tape and Tape.nodes form a cycle; break it so the graph is freed with its last reference.
+    tape.nodes.clear()
+    return structure, graph, _summed_grads(leaves_a, leaves_p)
+
+
 def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
-    """Train a fresh net on the training split of the dataset.
+    """Train a fresh net on the training split of the dataset, one run_step per iteration.
 
     Fully deterministic for a fixed cfg: initialization and batch sampling
     use independent child seeds of cfg.seed. Raises
@@ -113,17 +142,8 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
     kNN, the support unions and the fits are skipped. Its row's
     mean_d_pos_topo is nan. Iteration 0 and every lambda < 1 step report d_T.
 
-    Each step's batches, tape, structure and graph are freed before the
-    next step samples, so a step's peak holds one step's arrays only.
-
-    Each view's net pass records on a tape and leaves of its own, joined
-    onto the step's tape as a branch (autodiff.Tape.join). At a batch that
-    _rows splits, the positive view's pass runs on a pool worker while this
-    thread runs the anchor's, and the backward sweep runs the two branches
-    side by side after the loss nodes. The parameter gradients are summed
-    as one shared set of leaves would sum them, so the weights are bitwise
-    those of a one-thread sweep. When both views degenerate, the anchor
-    view's error is raised.
+    Each step's batches, structure, graph and gradients are freed before
+    the next step samples, so a step's peak holds one step's arrays only.
     """
     train_ds = training_split(cfg, dataset)
     plain_cfg = replace(cfg, topology_gradient_mode="off")
@@ -141,31 +161,17 @@ def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:
             and i % cfg.topology_report_every != 0
             and cfg.topology_gradient_mode != "off"
         )
-        step_cfg = plain_cfg if plain else cfg
-        tape = ad.Tape()
-        try:
-            (tape_a, leaves_a, desc_a), (tape_p, leaves_p, desc_p) = _rows.side_by_side(
-                cfg.batch_size,
-                partial(_view, net, batch_a, netmod.forward),
-                partial(_view, net, batch_p, _untraced_forward),
-            )
-            tape.join(cfg.batch_size, tape_a, tape_p)
-            structure = lossmod.select_structure(desc_a.value, desc_p.value, step_cfg)
-            graph = lossmod.build_loss_graph(desc_a, desc_p, lam, step_cfg, structure, tape)
-        except (DegenerateDescriptorError, DegenerateFitError, SingularSystemError) as exc:
+        try:  # every numeric failure of a step is a divergence
+            structure, graph, grads = run_step(net, batch_a, batch_p, lam, plain_cfg if plain else cfg)
+        except (
+            FloatingPointError, DegenerateDescriptorError, DegenerateFitError, SingularSystemError
+        ) as exc:
             raise TrainingDivergenceError(str(exc), i - 1) from exc
-        if not np.isfinite(graph.loss.value):
-            raise TrainingDivergenceError(f"loss is {float(graph.loss.value)!r}", i - 1)
-        ad.backward(tape, graph.loss)
-        grads = _summed_grads(leaves_a, leaves_p)
         state = netmod.sgd_step(
             net, grads, learning_rate(i, cfg), MOMENTUM, WEIGHT_DECAY, state
         )
-        # Tensor.tape and Tape.nodes form a cycle; break it so the step's graph is freed now.
-        tape.nodes.clear()
         rows.append(replace(graph.report, mean_d_pos_topo=math.nan) if plain else graph.report)
-        del batch_a, batch_p, tape, tape_a, tape_p, leaves_a, leaves_p, desc_a, desc_p
-        del structure, graph, grads
+        del batch_a, batch_p, structure, graph, grads
     return TrainResult(net=net, rows=rows)
 
 

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from topodesc import autodiff as ad
-from topodesc import cli, data, knn
+from topodesc import cli, data, errors, knn
 from topodesc import loss as lossmod
 from topodesc import net as netmod
 from topodesc.config import RunConfig, parse_config_file, resolve_config
 from topodesc.errors import InvalidArgumentError
+from topodesc.train import TrainingDivergenceError
 
 
 @pytest.fixture(scope="module")
@@ -206,12 +207,14 @@ class TestTrain:
     def test_missing_dataset_flag(self, tmp_path, capsys):
         code = cli.main(["train", "--out-dir", str(tmp_path / "o")])
         assert code == 2
-        assert "dataset path is required" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: a dataset path is required (--dataset or config file)\n"
 
     def test_missing_out_dir_flag(self, workspace, capsys):
         code = cli.main(["train", "--dataset", str(workspace["noisy"])])
         assert code == 2
-        assert "output directory is required" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: an output directory is required (--out-dir or config file)\n"
 
     def test_nonexistent_dataset_is_io_error(self, tmp_path, capsys):
         code = cli.main(
@@ -630,20 +633,40 @@ class TestGradcheckCommand:
     def test_lambda_one_tighter_tolerance(self, capsys):
         assert cli.main(["gradcheck", "--seed", "0", "--lam", "1.0", "--tol", "1e-5"]) == 0
 
-    def test_crooked_gradient_fails(self, monkeypatch, capsys):
-        # the fused layer node's backward with its tanh derivative 2% off
+    @pytest.mark.parametrize(
+        "crook, error",
+        [(lambda g: 1.02 * g, None), (lambda g: np.full_like(g, np.nan), "nan")],
+        ids=["tanh-2%-off", "nan"],
+    )
+    def test_crooked_gradient_fails(self, crook, error, monkeypatch, capsys):
+        # the fused layer node's backward with its tanh derivative 2% off, or NaN
         real_dense = ad.dense
 
         def crooked(x, w, b, activation):
             out = real_dense(x, w, b, activation)
             if activation == "tanh" and out._backward is not None:
                 back = out._backward
-                out._backward = lambda g: back(1.02 * g)
+                out._backward = lambda g: back(crook(g))
             return out
 
         monkeypatch.setattr(ad, "dense", crooked)
         assert cli.main(["gradcheck", "--seed", "0"]) == 1
-        assert "gradcheck failed" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "gradcheck failed" in captured.err
+        if error is not None:
+            assert f"max_relative_error = {error}" in captured.out
+
+    def test_non_finite_loss_exits_1_with_one_error_line(self, monkeypatch, capsys):
+        build = lossmod.build_loss_graph
+
+        def nan_loss(*args):
+            graph = build(*args)
+            graph.loss.value = np.full_like(graph.loss.value, np.nan)
+            return graph
+
+        monkeypatch.setattr(lossmod, "build_loss_graph", nan_loss)
+        assert cli.main(["gradcheck", "--seed", "0"]) == 1
+        assert capsys.readouterr().err == "error: loss is nan\n"
 
     def test_out_of_range_lambda_is_usage_error(self, capsys):
         assert cli.main(["gradcheck", "--lam", "1.5"]) == 2
@@ -776,6 +799,41 @@ def test_bad_argument_exits_2_with_one_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "o").exists()  # nothing written before the argument was rejected
+
+
+# The README's exit code for each error main maps.
+EXIT_CODES = {
+    errors.InvalidInputError: 2,
+    errors.InvalidArgumentError: 2,
+    errors.InvalidBatchError: 2,
+    errors.DatasetFormatError: 3,
+    errors.SingularSystemError: 1,
+    errors.DegenerateFitError: 1,
+    errors.DegenerateDescriptorError: 1,
+    FloatingPointError: 1,
+    TrainingDivergenceError: 4,
+}
+
+
+def test_every_error_class_has_an_exit_code():
+    classes = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)}
+    assert classes <= set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda c: c.__name__)
+def test_error_exits_with_its_code_and_one_error_line(error, workspace, tmp_path, monkeypatch, capsys):
+    args = ("boom", 6) if error is TrainingDivergenceError else ("boom",)
+
+    def failing(cfg, dataset):
+        raise error(*args)
+
+    monkeypatch.setattr(cli, "run_training", failing)
+    argv = ["train", "--dataset", str(workspace["noisy"]), "--out-dir", str(tmp_path / "o")]
+    assert cli.main(argv + TRAIN_FLAGS) == EXIT_CODES[error]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "boom" in err[0], err
+    if error is TrainingDivergenceError:
+        assert err[0] == "error: training diverged: boom; last good iteration 6"
 
 
 @pytest.mark.parametrize(

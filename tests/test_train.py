@@ -160,6 +160,26 @@ class TestRunTraining:
                 train.run_training(cfg, dataset=tiny_dataset())
         assert info.value.last_good_iteration == 0
 
+    def test_non_finite_loss_ends_the_run_before_its_update(self, monkeypatch):
+        build = lossmod.build_loss_graph
+        built = []
+
+        def nan_at_step_3(*args):
+            graph = build(*args)
+            if len(built) == 3:
+                graph.loss.value = np.full_like(graph.loss.value, np.nan)
+            built.append(graph.loss.value)
+            return graph
+
+        monkeypatch.setattr(lossmod, "build_loss_graph", nan_at_step_3)
+        steps = recording_steps(monkeypatch)
+        with pytest.raises(train.TrainingDivergenceError) as info:
+            train.run_training(tiny_config(), dataset=tiny_dataset())
+        assert str(info.value) == "loss is nan"
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert info.value.last_good_iteration == 2
+        assert len(built) == 4 and len(steps) == 3  # no SGD step for iteration 3
+
     def test_each_step_frees_its_graph_without_the_collector(self):
         def live_tensors():
             return sum(isinstance(o, autodiff.Tensor) for o in gc.get_objects())
