@@ -5,6 +5,15 @@ positive term blends Euclidean distance with a locally-linear topology
 distance, using hardest-in-batch negative mining throughout.
 """
 
+import os
+
+# One BLAS thread unless the caller set one: BLAS's default of a thread per
+# CPU fights the row split's pinned pool (README "Threads"). This runs
+# before numpy is first imported; a caller who imports numpy first sets
+# these variables before doing so.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .config import RunConfig, parse_config_file, resolve_config
 from .data import DatasetFile, generate, read_dataset, sample_batch, write_dataset
 from .errors import (

@@ -3,12 +3,12 @@
 Nodes are appended to the tape in creation order, which is a valid
 topological order, so the backward pass is a single deterministic reverse
 sweep. One tape lives for one training step and is dropped afterwards.
-A binary op computes a parent's gradient only when that parent is
-trainable, so constants cost nothing in the backward sweep.
+An op whose parents are all constants records no node, so constants
+cost nothing in the backward sweep.
 
-Kink conventions: |x| has subgradient 0 at x = 0, max(x, 0) passes gradient
-only where x > 0, sqrt passes gradient only where its argument is positive,
-and clip passes gradient strictly inside the interval.
+A training step records fused nodes only, each built with node(): the
+net's layers here, the affine fit in topology and the loss head in loss,
+which states its kink conventions.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ def node(tape: Tape, value, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """The output of one op; recorded on the tape when a parent is trainable.
 
     backward_fn(g) receives the output's adjoint and accumulates each
-    parent's share. Ops outside this module (topology.affine_weights) are
-    built with it too.
+    parent's share. Ops outside this module (topology.affine_weights and
+    the loss head in loss) are built with it too.
     """
     out = Tensor(value, tape, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -151,128 +151,6 @@ def backward(tape: Tape, root: Tensor | None = None, adjoint=1.0) -> None:
         tape.branch_rows, *[partial(_sweep, tape.nodes[lo:hi]) for lo, hi in reversed(tape.branches)]
     )
     _sweep(tape.nodes[:first])
-
-
-# ---------------------------------------------------------------------------
-# elementwise and shape ops
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    value = a.value + b.value
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.value.shape))
-
-    return node(a.tape or b.tape, value, (a, b), back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    value = a.value - b.value
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.value.shape))
-
-    return node(a.tape or b.tape, value, (a, b), back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    value = a.value * b.value
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.value, a.value.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.value, b.value.shape))
-
-    return node(a.tape or b.tape, value, (a, b), back)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    value = a.value @ b.value
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape))
-
-    return node(a.tape or b.tape, value, (a, b), back)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    value = a.value.reshape(shape)
-
-    def back(g):
-        a._accumulate(g.reshape(a.value.shape))
-
-    return node(a.tape, value, (a,), back)
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    value = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def back(g):
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, axes)
-        a._accumulate(np.broadcast_to(g, a.value.shape))
-
-    return node(a.tape, value, (a,), back)
-
-
-def abs_(a: Tensor) -> Tensor:
-    value = np.abs(a.value)
-
-    def back(g):
-        a._accumulate(g * np.sign(a.value))
-
-    return node(a.tape, value, (a,), back)
-
-
-def sqrt_(a: Tensor) -> Tensor:
-    value = np.sqrt(a.value)
-
-    def back(g):
-        safe = np.where(a.value > 0, value, 1.0)
-        a._accumulate(np.where(a.value > 0, 0.5 * g / safe, 0.0))
-
-    return node(a.tape, value, (a,), back)
-
-
-def relu(a: Tensor) -> Tensor:
-    value = np.maximum(a.value, 0.0)
-
-    def back(g):
-        a._accumulate(g * (a.value > 0))
-
-    return node(a.tape, value, (a,), back)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    value = np.clip(a.value, lo, hi)
-
-    def back(g):
-        a._accumulate(g * ((a.value > lo) & (a.value < hi)))
-
-    return node(a.tape, value, (a,), back)
-
-
-def take(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Row gather a[indices]; backward scatter-adds into the source (scatter_rows)."""
-    idx = np.asarray(indices)
-    value = a.value[idx]
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(scatter_rows(idx, g, a.value.shape))
-
-    return node(a.tape, value, (a,), back)
 
 
 def scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

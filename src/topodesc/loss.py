@@ -201,23 +201,88 @@ def select_structure(va: np.ndarray, vp: np.ndarray, cfg: RunConfig) -> LossStru
     return st
 
 
-def _row_euclidean(a: ad.Tensor, b: ad.Tensor, tape: ad.Tape) -> ad.Tensor:
-    """Unit-descriptor distance per row: sqrt(2 - 2 a.b), with a.b clipped to [-1, 1].
+# The fused nodes of the objective. Each backward runs the numpy ops of the
+# op-by-op composition it replaces (tests/recorded_loss.py), in that
+# composition's sweep order, so every gradient is bitwise the same. Kinks:
+# a.b at or beyond -1 or 1 passes no gradient, nor does a distance of 0; |x|
+# has subgradient 0 at x = 0; the hinge passes gradient only where it is > 0.
 
-    The clip makes 2 - 2 a.b exactly >= 0, and sqrt_ passes no gradient at 0.
+
+def _pair_distances(desc_a: ad.Tensor, desc_p: ad.Tensor, neg_u, neg_v, tape: ad.Tape) -> ad.Tensor:
+    """(2, n): row 0 the matched pairs' distances, row 1 the mined pairs' (neg_u[i], neg_v[i]).
+
+    Each is knn.to_distance of the two rows' dot product.
     """
-    dots = ad.clip(ad.sum_(ad.mul(a, b), axis=1), -1.0, 1.0)
-    two = ad.constant(tape, np.asarray(2.0, dtype=a.value.dtype))
-    return ad.sqrt_(ad.sub(two, ad.mul(two, dots)))
+    va, vp = desc_a.value, desc_p.value
+    neg_a, neg_p = va[neg_u], vp[neg_v]
+    dots = np.stack(((va * vp).sum(axis=1), (neg_a * neg_p).sum(axis=1)))
+    dist = knn.to_distance(dots.copy())
+
+    def back(g):
+        # through the sqrt, 2 - 2 a.b and the clip
+        g_rad = np.where(dist > 0, 0.5 * g / np.where(dist > 0, dist, 1.0), 0.0)
+        g_dots = (-g_rad * 2.0 * ((dots > -1.0) & (dots < 1.0)))[:, :, None]
+        desc_p._accumulate(ad.scatter_rows(neg_v, g_dots[1] * neg_a, vp.shape))
+        desc_a._accumulate(ad.scatter_rows(neg_u, g_dots[1] * neg_p, va.shape))
+        desc_a._accumulate(g_dots[0] * vp)
+        desc_p._accumulate(g_dots[0] * va)
+
+    return ad.node(tape, dist, (desc_a, desc_p), back)
+
+
+def _topology_distance(
+    weights_a: ad.Tensor, weights_p: ad.Tensor, gather_a: np.ndarray, gather_p: np.ndarray, tape: ad.Tape
+) -> ad.Tensor:
+    """d_T per anchor: a quarter of the l1 distance between the weights on the support union.
+
+    The bool indicators (LossStructure.gather_a/gather_p) place each view's
+    weights at their union positions.
+    """
+    n, k = weights_a.value.shape
+    diff = gather_a @ weights_a.value.reshape((n, k, 1)) - gather_p @ weights_p.value.reshape((n, k, 1))
+    quarter = np.asarray(0.25, dtype=diff.dtype)
+
+    def back(g):
+        g_diff = np.broadcast_to((g * quarter)[:, None, None], diff.shape) * np.sign(diff)
+        weights_p._accumulate((gather_p.swapaxes(-1, -2) @ -g_diff).reshape((n, k)))
+        weights_a._accumulate((gather_a.swapaxes(-1, -2) @ g_diff).reshape((n, k)))
+
+    return ad.node(tape, quarter * np.abs(diff).sum(axis=(1, 2)), (weights_a, weights_p), back)
+
+
+def _hinge_mean(
+    pairs: ad.Tensor, d_topo: ad.Tensor | None, lam: float, margin: float, tape: ad.Tape
+) -> tuple[ad.Tensor, np.ndarray]:
+    """The batch objective mean(max(0, margin + gamma - d_neg)) and the hinge per anchor.
+
+    gamma is lam * d_pos + (1 - lam) * d_topo, or d_pos when d_topo is None.
+    """
+    d_pos, d_neg = pairs.value
+    dtype = d_pos.dtype
+    lam_c, lam_rest = np.asarray(lam, dtype=dtype), np.asarray(1.0 - lam, dtype=dtype)
+    gamma = d_pos if d_topo is None else lam_c * d_pos + lam_rest * d_topo.value
+    gap = np.asarray(margin, dtype=dtype) + (gamma - d_neg)
+    hinge = np.maximum(gap, 0.0)
+    inv_n = np.asarray(1.0 / len(hinge), dtype=dtype)
+
+    def back(g):
+        g_gap = np.broadcast_to(g * inv_n, gap.shape) * (gap > 0)
+        pairs._accumulate(np.stack((g_gap if d_topo is None else g_gap * lam_c, -g_gap)))
+        if d_topo is not None:
+            d_topo._accumulate(g_gap * lam_rest)
+
+    parents = (pairs,) if d_topo is None else (pairs, d_topo)
+    return ad.node(tape, inv_n * hinge.sum(), parents, back), hinge
 
 
 @dataclass
 class LossGraph:
     """The batch objective and the per-pair tensors it is built from.
 
-    d_pos is the Euclidean distance of each matched pair and d_topo its
-    topology distance; d_topo and the two views' affine weights are None
-    in "off" mode, and constants unless the mode is "through-weights" and lambda < 1.
+    d_pos is the Euclidean distance of each matched pair, a constant (the
+    objective reads it from the pair node), and d_topo its topology
+    distance; d_topo and the two views' affine weights are None in "off"
+    mode, and constants unless the mode is "through-weights" and lambda < 1.
     """
 
     loss: ad.Tensor
@@ -236,28 +301,21 @@ def build_loss_graph(
     structure: LossStructure,
     tape: ad.Tape,
 ) -> LossGraph:
-    """Assemble the full batch objective on the tape.
+    """Assemble the full batch objective on the tape, as three fused nodes and the fits.
 
     mean over i of max(0, margin + blended positive distance - hardest
     negative distance). With topology_gradient_mode "off" the positive side
     is purely Euclidean. Frozen weights in the structure ("detached" mode)
     enter as constants, as fitted values do at lambda == 1, where d_T's
-    weight is 0; otherwise the affine fit is recorded on the tape.
+    weight is 0; otherwise the affine fit is recorded on the tape, after the
+    pair distances and before d_T.
     """
     if not 0.0 <= lam <= 1.0:
         raise InvalidArgumentError(f"lambda must be in [0, 1], got {lam}")
-    n = structure.n
-    dtype = desc_a.value.dtype
-    d_pos = _row_euclidean(desc_a, desc_p, tape)
-    neg_a = ad.take(desc_a, structure.neg_u)
-    neg_p = ad.take(desc_p, structure.neg_v)
-    d_neg = _row_euclidean(neg_a, neg_p, tape)
+    pairs = _pair_distances(desc_a, desc_p, structure.neg_u, structure.neg_v, tape)
 
     weights_a = weights_p = d_topo = None
-    if cfg.topology_gradient_mode == "off":
-        gamma_pos = d_pos
-        topo_mean = 0.0
-    else:
+    if cfg.topology_gradient_mode != "off":
         if structure.frozen_wa is not None:
             weights_a = ad.constant(tape, structure.frozen_wa)
             weights_p = ad.constant(tape, structure.frozen_wp)
@@ -268,31 +326,25 @@ def build_loss_graph(
         else:
             weights_a = topology.affine_weights(desc_a, structure.idx_a)
             weights_p = topology.affine_weights(desc_p, structure.idx_p)
-        ta = ad.matmul(ad.constant(tape, structure.gather_a), ad.reshape(weights_a, (n, cfg.k, 1)))
-        tp = ad.matmul(ad.constant(tape, structure.gather_p), ad.reshape(weights_p, (n, cfg.k, 1)))
-        l1 = ad.sum_(ad.abs_(ad.sub(ta, tp)), axis=(1, 2))
-        quarter = ad.constant(tape, np.asarray(0.25, dtype=dtype))
-        d_topo = ad.mul(quarter, l1)
-        topo_mean = float(d_topo.value.mean())
-        lam_c = ad.constant(tape, np.asarray(lam, dtype=dtype))
-        lam_rest = ad.constant(tape, np.asarray(1.0 - lam, dtype=dtype))
-        gamma_pos = ad.add(ad.mul(lam_c, d_pos), ad.mul(lam_rest, d_topo))
+        d_topo = _topology_distance(weights_a, weights_p, structure.gather_a, structure.gather_p, tape)
+    loss, hinge = _hinge_mean(pairs, d_topo, lam, cfg.margin, tape)
 
-    margin = ad.constant(tape, np.asarray(cfg.margin, dtype=dtype))
-    hinge = ad.relu(ad.add(margin, ad.sub(gamma_pos, d_neg)))
-    inv_n = ad.constant(tape, np.asarray(1.0 / n, dtype=dtype))
-    loss = ad.mul(inv_n, ad.sum_(hinge))
-
+    d_pos, d_neg = pairs.value
     report = LossReport(
         loss=float(loss.value),
         lam=float(lam),
-        mean_d_pos_euclid=float(d_pos.value.mean()),
-        mean_d_pos_topo=topo_mean,
-        mean_d_neg=float(d_neg.value.mean()),
-        active_triplets=int(np.count_nonzero(hinge.value > 0)),
+        mean_d_pos_euclid=float(d_pos.mean()),
+        mean_d_pos_topo=0.0 if d_topo is None else float(d_topo.value.mean()),
+        mean_d_neg=float(d_neg.mean()),
+        active_triplets=int(np.count_nonzero(hinge > 0)),
     )
     return LossGraph(
-        loss=loss, report=report, d_pos=d_pos, d_topo=d_topo, weights_a=weights_a, weights_p=weights_p
+        loss=loss,
+        report=report,
+        d_pos=ad.constant(tape, d_pos),
+        d_topo=d_topo,
+        weights_a=weights_a,
+        weights_p=weights_p,
     )
 
 

@@ -1,4 +1,8 @@
-"""Hypothesis settings shared by every test module.
+"""Settings shared by every test module: BLAS threads and hypothesis's profile.
+
+BLAS gets one thread unless the caller set one, as `import topodesc` does,
+before anything imports numpy: a thread per CPU fights the row split's
+pinned pool.
 
 pyproject.toml turns DeprecationWarning into an error. When a property
 fails, hypothesis's pytest plugin imports libcst to suggest a patch, and
@@ -9,9 +13,13 @@ filter stays in force for the tests. The explain phase, which only adds
 notes to a failure, is left out as well.
 """
 
+import os
 import warnings
 
-from hypothesis import Phase, settings
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+from hypothesis import Phase, settings  # noqa: E402
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)

@@ -12,6 +12,8 @@ import numpy as np
 from topodesc import autodiff as ad
 from topodesc.errors import DegenerateDescriptorError
 
+from recorded_loss import add, matmul, mul, sqrt_, sum_
+
 
 def div(a, b):
     value = a.value / b.value
@@ -49,11 +51,11 @@ def recorded_forward(net, patches, tape, leaves):
     for i, tag in enumerate(net.activations):
         w = leaves[f"layer{i}.weight"]
         b = leaves[f"layer{i}.bias"]
-        x = ad.add(ad.matmul(x, transpose(w)), b)
+        x = add(matmul(x, transpose(w)), b)
         if tag == "tanh":
             x = tanh_(x)
-    sq = ad.sum_(ad.mul(x, x), axis=1, keepdims=True)
+    sq = sum_(mul(x, x), axis=1, keepdims=True)
     if np.any(sq.value == 0) or not np.all(np.isfinite(sq.value)):
         raise DegenerateDescriptorError("zero-norm or non-finite descriptor")
-    return div(x, ad.sqrt_(sq))
+    return div(x, sqrt_(sq))
 

@@ -1,7 +1,12 @@
-"""The package's public names: every export resolves, removed ones stay gone."""
+"""The package's public names: every export resolves, removed ones stay gone; its import sets BLAS threads."""
 
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import fields
+
+import pytest
 
 import topodesc
 from topodesc import autodiff, config, data, loss, metrics, net, topology, train
@@ -9,6 +14,8 @@ from topodesc import autodiff, config, data, loss, metrics, net, topology, train
 TENSOR_OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"
 )
+# the generic tape ops, now tests/recorded_loss.py's
+GENERIC_OPS = ("add", "sub", "mul", "matmul", "reshape", "sum_", "abs_", "sqrt_", "relu", "clip", "take")
 REMOVED = [
     (topodesc, "LabeledDistance"),
     (topodesc, "PatchPair"),
@@ -45,6 +52,8 @@ REMOVED = [
     (topology, "DEFAULT_EPS"),
     (autodiff, "cholesky_failures"),
     *[(autodiff.Tensor, op) for op in TENSOR_OPERATORS],
+    *[(autodiff, op) for op in GENERIC_OPS],
+    (loss, "_row_euclidean"),
 ]
 
 
@@ -67,3 +76,16 @@ def test_all_exports_import_and_removed_names_are_gone():
     # every fit uses the one regulariser topology.EPS
     fits = (topology.affine_weights, topology.affine_weight_values, topology.batch_topology_vectors)
     assert not [f.__name__ for f in fits if "eps" in inspect.signature(f).parameters]
+
+
+@pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")])
+def test_import_defaults_blas_to_one_thread(given, want):
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(topodesc.__file__))
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, topodesc; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == want

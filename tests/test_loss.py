@@ -13,7 +13,7 @@ from topodesc import net as netmod
 from topodesc.config import RunConfig, resolve_config
 from topodesc.errors import InvalidArgumentError, InvalidBatchError
 
-from recorded_fit import recorded_fit_loss_graph
+from recorded_loss import recorded_fit_loss_graph, recorded_loss_graph
 from single_fit import fit_one
 
 
@@ -501,7 +501,7 @@ class TestModeEquivalences:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_lambda_one_keeps_the_fit_off_the_tape(self, dtype):
         # 1 - lambda = 0 multiplies d_T's adjoint to exact zeros, so leaving the
-        # fits and the d_T chain off the tape must change no bit
+        # fits and the d_T node off the tape must change no bit
         rng = np.random.default_rng(17)
         net = netmod.init_net((6, 16, 8), rng, dtype=dtype)
         patches_a = rng.standard_normal((12, 6))
@@ -513,17 +513,19 @@ class TestModeEquivalences:
             leaves = netmod.make_leaves(net, tape)
             desc_a = netmod.forward(net, patches_a, tape, leaves)
             desc_p = netmod.forward(net, patches_p, tape, leaves)
+            net_nodes = len(tape.nodes)
             st = L.select_structure(desc_a.value, desc_p.value, cfg)
             graph = build(desc_a, desc_p, 1.0, cfg, st, tape)
+            loss_nodes = len(tape.nodes) - net_nodes
             ad.backward(tape, graph.loss)
-            return graph, len(tape.nodes), {name: t.grad.tobytes() for name, t in leaves.items()}
+            return graph, loss_nodes, {name: t.grad.tobytes() for name, t in leaves.items()}
 
         graph, nodes, grads = step(L.build_loss_graph)
-        want, want_nodes, want_grads = step(recorded_fit_loss_graph)
+        want, _, want_grads = step(recorded_fit_loss_graph)
         assert not graph.weights_a.requires_grad and not graph.weights_p.requires_grad
         assert not graph.d_topo.requires_grad
-        # two fits, two reshapes, two matmuls, sub, abs, sum, and the two muls of d_T
-        assert nodes == want_nodes - 11
+        # the pair distances and the hinge mean; no fit and no d_T node
+        assert nodes == 2
         assert graph.weights_a.value.tobytes() == want.weights_a.value.tobytes()
         assert graph.weights_p.value.tobytes() == want.weights_p.value.tobytes()
         assert graph.d_topo.value.tobytes() == want.d_topo.value.tobytes()
@@ -531,26 +533,16 @@ class TestModeEquivalences:
         assert grads == want_grads
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bool_indicators_match_float_ones(self, dtype, monkeypatch):
+    def test_bool_indicators_match_float_ones(self, dtype):
         # each union slot holds at most one weight, so reading the indicators
-        # as 0/1 in the weights' dtype must change no bit of ta, tp, d_T or a gradient
+        # as 0/1 in the weights' dtype must change no bit of d_T or a gradient
         rng = np.random.default_rng(18)
         net = netmod.init_net((6, 16, 8), rng, dtype=dtype)
         patches_a = rng.standard_normal((40, 6))
         patches_p = patches_a + 0.3 * rng.standard_normal((40, 6))
         cfg = RunConfig(k=5)
-        matmul = ad.matmul
-        products = []
-
-        def recording(a, b):
-            out = matmul(a, b)
-            products.append(out)
-            return out
-
-        monkeypatch.setattr(ad, "matmul", recording)
 
         def step(build):
-            products.clear()
             tape = ad.Tape()
             leaves = netmod.make_leaves(net, tape)
             desc_a = netmod.forward(net, patches_a, tape, leaves)
@@ -560,10 +552,10 @@ class TestModeEquivalences:
             graph = build(desc_a, desc_p, 0.5, cfg, st, tape)
             ad.backward(tape, graph.loss)
             assert np.any(graph.weights_a.grad != 0) and np.any(graph.weights_p.grad != 0)
-            ta, tp = products
-            return [
+            return [graph.report] + [
                 t.tobytes()
-                for t in (ta.value, tp.value, graph.d_topo.value, graph.weights_a.grad, graph.weights_p.grad)
+                for t in (graph.weights_a.value, graph.weights_p.value, graph.d_topo.value,
+                          graph.weights_a.grad, graph.weights_p.grad)
             ] + [t.grad.tobytes() for t in leaves.values()]
 
         got, want = step(L.build_loss_graph), step(recorded_fit_loss_graph)
@@ -576,9 +568,9 @@ class TestModeEquivalences:
         tape = ad.Tape()
         a = ad.leaf(tape, x)
         b = ad.leaf(tape, x.copy())
-        d = L._row_euclidean(a, b, tape)
-        ad.backward(tape, ad.sum_(d))
-        np.testing.assert_array_equal(d.value, 0.0)
+        pairs = L._pair_distances(a, b, np.array([1, 2, 0]), np.array([2, 0, 1]), tape)
+        ad.backward(tape, pairs, np.stack((np.ones(3), np.zeros(3))))
+        np.testing.assert_array_equal(pairs.value[0], 0.0)
         np.testing.assert_array_equal(a.grad, 0.0)
         np.testing.assert_array_equal(b.grad, 0.0)
 
@@ -609,6 +601,163 @@ class TestModeEquivalences:
             shuffled = L.batch_loss(va[perm], vp[perm], 250_000, cfg)
             assert shuffled.loss == pytest.approx(base.loss, abs=1e-12)
             assert shuffled.active_triplets == base.active_triplets
+
+
+E, H = np.eye(4), np.full(4, 0.5)  # unit rows whose self-products are exactly 1
+
+
+def _identical_views():
+    """d_pos = 0 where a row's self-product rounds to 1 or above; equal weights in every slot."""
+    va = unit_rows(np.random.default_rng(20), 10, 4)
+    va[:3] = E[0], E[1], H
+    return va, va.copy(), 1.0
+
+
+def _products_at_one():
+    """Matched products at exactly 1 and -1, a mined product at 1, one just above 1."""
+    rng = np.random.default_rng(21)
+    va, vp = unit_rows(rng, 10, 4), unit_rows(rng, 10, 4)
+    va[:4] = E
+    vp[:4] = E[0], -E[1], -E[2], E[3]
+    vp[4] = E[3]  # (3, 4) is a negative at distance 0
+    vp[5] = va[5] * (1.0 + 2.0**-20)
+    return va, vp, 1.0
+
+
+def _hinge_at_zero():
+    """Anchors 0, 1 and 3 sit exactly on the hinge: 1 + (0 - 1) = 0, their negatives at product 1/2."""
+    va = np.stack((E[0], E[1], -E[0], H))
+    return va, va.copy(), 1.0
+
+
+def _one_view_differs():
+    """Equal weights in the union slots of every anchor whose neighbors skip row 0.
+
+    The positive view is the anchor view times -1/2: a power-of-two scale and
+    a sign change the fit's every rounding by the same factor, so the two
+    views' weights are equal, and their products near -1/2 keep d_pos smooth.
+    """
+    rng = np.random.default_rng(22)
+    va = unit_rows(rng, 10, 4)
+    vp = -0.5 * va
+    vp[0] = 0.5 * unit_rows(rng, 1, 4)
+    return va, vp, 0.2
+
+
+KINK_CASES = {
+    "identical views": _identical_views,
+    "products at plus or minus one": _products_at_one,
+    "hinge at zero": _hinge_at_zero,
+    "equal weights in a union slot": _one_view_differs,
+}
+
+
+def _scaled_views():
+    """Kinks with a flat neighborhood: products beyond 1 and -1, so d = 0 and d = 2."""
+    rng = np.random.default_rng(23)
+    va = 1.25 * unit_rows(rng, 10, 4)
+    vp = va.copy()
+    vp[:3] = -va[:3]
+    vp[6:] = 1.25 * unit_rows(rng, 4, 4)
+    return va, vp, 1.0
+
+
+# central differences see the convention's zero gradient: flat kinks, and |x|
+# at 0, whose central difference is 0. At a.b exactly 1 and at the hinge's
+# kink they average two one-sided slopes, so those two are oracle cases only.
+FD_CASES = {
+    "clipped beyond plus or minus one": _scaled_views,
+    "equal weights in a union slot": _one_view_differs,
+}
+MODES = [("through-weights", 0.5), ("detached", 0.5), ("off", 1.0), ("through-weights", 1.0)]
+
+
+def frozen_structure(va, vp, cfg):
+    """select_structure on the rows scaled to unit length, as the miner needs them."""
+    return L.select_structure(*(x / np.linalg.norm(x, axis=1, keepdims=True) for x in (va, vp)), cfg)
+
+
+def _grad_bytes(t):
+    return None if t is None or t.grad is None else t.grad.tobytes()
+
+
+class TestFusedLossHead:
+    """The pair distances, d_T and the hinge mean at their kinks, in both dtypes."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode, lam", MODES)
+    @pytest.mark.parametrize("case", KINK_CASES)
+    def test_bitwise_equal_to_the_recorded_ops(self, case, mode, lam, dtype):
+        va, vp, margin = (np.asarray(v, dtype=dtype) for v in KINK_CASES[case]())
+        cfg = RunConfig(k=2, margin=float(margin), topology_gradient_mode=mode)
+        st = frozen_structure(va, vp, cfg)
+
+        def step(build):
+            tape = ad.Tape()
+            a, p = ad.leaf(tape, va), ad.leaf(tape, vp)
+            graph = build(a, p, lam, cfg, st, tape)
+            ad.backward(tape, graph.loss)
+            values = [graph.loss.value, graph.d_pos.value]
+            if graph.d_topo is not None:
+                values += [graph.d_topo.value, graph.weights_a.value, graph.weights_p.value]
+            return [graph.report, _grad_bytes(a), _grad_bytes(p), _grad_bytes(graph.weights_a),
+                    _grad_bytes(graph.weights_p)] + [(v.dtype, v.tobytes()) for v in values]
+
+        got, want = step(L.build_loss_graph), step(recorded_loss_graph)
+        assert got[1] is not None and got[2] is not None
+        assert got == want
+
+    def test_the_cases_reach_their_kinks(self):
+        va, vp, _ = _identical_views()
+        assert np.count_nonzero(knn.to_distance((va * vp).sum(axis=1)) == 0) >= 3
+        va, vp, _ = _products_at_one()
+        dots = (va * vp).sum(axis=1)
+        assert dots[0] == 1.0 and dots[1] == dots[2] == -1.0 and dots[5] > 1.0
+        va, vp, margin = _hinge_at_zero()
+        neg_u, neg_v = L.hardest_negatives(va, vp)
+        d_neg = knn.to_distance((va[neg_u] * vp[neg_v]).sum(axis=1))
+        assert list(margin + (0.0 - d_neg)) == [0.0, 0.0, 1.0 - np.sqrt(2.0), 0.0]
+        va, vp, margin = _one_view_differs()
+        cfg = RunConfig(k=2, margin=margin)
+        st = frozen_structure(va, vp, cfg)
+        tape = ad.Tape()
+        graph = L.build_loss_graph(ad.constant(tape, va), ad.constant(tape, vp), 0.5, cfg, st, tape)
+        assert 0 < np.count_nonzero(graph.d_topo.value == 0) < 10
+        assert 0 < graph.report.active_triplets < 10  # flat hinges below 0 too
+        va, vp, _ = _scaled_views()
+        dots = (va * vp).sum(axis=1)
+        assert np.all(dots[:3] < -1.0) and np.all(dots[3:6] > 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mode, lam", MODES[:3])
+    @pytest.mark.parametrize("case", FD_CASES)
+    def test_gradient_matches_central_differences(self, case, mode, lam, dtype):
+        va, vp, margin = (np.asarray(v, dtype=dtype) for v in FD_CASES[case]())
+        cfg = RunConfig(k=2, margin=float(margin), topology_gradient_mode=mode)
+        st = frozen_structure(va, vp, cfg)
+        tape = ad.Tape()
+        a, p = ad.leaf(tape, va), ad.leaf(tape, vp)
+        graph = L.build_loss_graph(a, p, lam, cfg, st, tape)
+        assert graph.report.active_triplets > 0
+        ad.backward(tape, graph.loss)
+
+        def loss_at(xa, xp):
+            tape = ad.Tape()
+            graph = L.build_loss_graph(ad.constant(tape, xa), ad.constant(tape, xp), lam, cfg, st, tape)
+            return float(graph.loss.value)
+
+        step = 1e-6
+        views = [va.astype(np.float64), vp.astype(np.float64)]
+        for view, analytic in enumerate((a.grad, p.grad)):
+            numeric = np.zeros(va.shape)
+            for idx in np.ndindex(va.shape):
+                bumped = [v.copy() for v in views]
+                bumped[view][idx] += step
+                f_plus = loss_at(*bumped)
+                bumped[view][idx] -= 2 * step
+                numeric[idx] = (f_plus - loss_at(*bumped)) / (2 * step)
+            tol = 1e-7 if dtype == np.float64 else 1e-4
+            np.testing.assert_allclose(analytic, numeric, rtol=100 * tol, atol=tol)
 
 
 class TestValidation:

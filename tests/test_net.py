@@ -14,6 +14,7 @@ from topodesc import net as nm
 from topodesc.config import RunConfig
 from topodesc.errors import DatasetFormatError, DegenerateDescriptorError, InvalidInputError
 
+from recorded_loss import mul, sub, sum_
 from recorded_net import recorded_forward
 
 
@@ -102,7 +103,7 @@ class TestForward:
         leaves = nm.make_leaves(net, tape)
         da = nm.forward(net, xa, tape, leaves)
         dp = nm.forward(net, xp, tape, leaves)
-        out = ad.sum_(ad.mul(ad.sub(da, dp), ad.sub(da, dp)))
+        out = sum_(mul(sub(da, dp), sub(da, dp)))
         ad.backward(tape, out)
         assert all(t.grad is not None for t in leaves.values())
 

@@ -12,6 +12,7 @@ from topodesc import topology
 from topodesc.errors import InvalidInputError
 from topodesc.knn import neighbor_index_matrix
 
+from recorded_loss import reshape, sub, sum_, take
 from recorded_net import div
 from single_fit import fit_eps, fit_one
 
@@ -65,11 +66,11 @@ def tape_affine_weights(x, idx, eps=topology.EPS):
     """
     n, k = idx.shape
     dim = x.value.shape[1]
-    diffs = ad.sub(ad.reshape(x, (n, 1, dim)), ad.take(x, idx))
+    diffs = sub(reshape(x, (n, 1, dim)), take(x, idx))
     s = ad.gram_batched(diffs)
     m = regularize_op(s, np.full(n, eps))
     y = ad.solve_chol_batched(m, np.ones(k, dtype=x.value.dtype))
-    return div(y, ad.sum_(y, axis=1, keepdims=True))
+    return div(y, sum_(y, axis=1, keepdims=True))
 
 
 def fit_and_gradient(fit, x, idx, eps, adjoint):

@@ -19,7 +19,7 @@ from topodesc.errors import DegenerateDescriptorError, InvalidArgumentError
 from topodesc.loss import resolve_lambda
 from topodesc.net import embed
 
-from recorded_fit import recorded_fit_loss_graph
+from recorded_loss import recorded_fit_loss_graph
 
 
 def tiny_dataset(seed=0, scenes=40, dim=6):
