@@ -14,7 +14,7 @@ from topodesc import autodiff, config, data, loss, metrics, net, topology, train
 TENSOR_OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"
 )
-# the generic tape ops, now tests/recorded_loss.py's
+# the op-by-op oracle's generic ops (tests/recorded_loss.py)
 GENERIC_OPS = ("add", "sub", "mul", "matmul", "reshape", "sum_", "abs_", "sqrt_", "relu", "clip", "take")
 REMOVED = [
     (topodesc, "LabeledDistance"),
