@@ -2,7 +2,8 @@
 
 A kernel computes each row from that row's data alone, so its result is
 bitwise the same for any number of ranges. ``side_by_side`` runs a few
-whole, independent calls (the two views' net passes) the same way.
+whole, independent calls the same way: a training step's two view
+forwards, and later their two backwards.
 
 Each pool worker pins itself to its own CPU, and during a split the calling
 thread pins itself to one that no worker holds. Without pinning, a host
@@ -96,6 +97,7 @@ def in_parts(n: int, fn) -> list:
 def side_by_side(n: int, *calls) -> list:
     """Each call's result, in order, from calls that share no writable state.
 
+    train.run_step passes the two views' net forwards, then their backwards.
     They run at once, the first on this thread, when n rows would split
     (in_parts), and one after another otherwise. Either way the first
     failing call's error wins.

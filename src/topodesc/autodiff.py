@@ -6,54 +6,29 @@ sweep. One tape lives for one training step and is dropped afterwards.
 An op whose parents are all constants records no node, so constants
 cost nothing in the backward sweep.
 
-A training step records fused nodes only, each built with node(): the
-net's layers here, the affine fit in topology and the loss head in loss,
-which states its kink conventions.
+A training step records the loss head only, on the two views'
+descriptors as leaves: fused nodes, each built with node(), for the affine
+fit in topology and the loss terms in loss, which states its kink
+conventions. The embedding net computes its own backward (net.forward).
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
-from . import _rows
-from .errors import DegenerateDescriptorError, SingularSystemError
+from .errors import SingularSystemError
 
 
 class Tape:
-    """Ordered record of differentiable operations for one step.
-
-    Nodes recorded on tapes of their own can be joined onto this one as
-    branches (join): the backward sweep runs the branches side by side.
-    """
+    """Ordered record of differentiable operations for one step."""
 
     def __init__(self):
         self.nodes: list[Tensor] = []
-        self.branches: list[tuple[int, int]] = []  # [start, stop) node ranges, in order
-        self.branch_rows = 0
 
     def add(self, node: "Tensor") -> None:
         self.nodes.append(node)
-
-    def join(self, rows: int, *tapes: "Tape") -> None:
-        """Move each tape's nodes, in order, onto the end of this one, each as a branch.
-
-        The branches must share no trainable tensor (give each its own
-        leaves), so no two of them accumulate into one gradient. rows is
-        the batch the branches compute; _rows.side_by_side decides from it
-        whether backward sweeps them at once. A second join turns the
-        branches of the first into plain nodes.
-        """
-        self.branch_rows, self.branches = rows, []
-        for tape in tapes:
-            start = len(self.nodes)
-            for t in tape.nodes:
-                t.tape = self
-            self.nodes += tape.nodes
-            tape.nodes.clear()
-            self.branches.append((start, len(self.nodes)))
 
 
 class Tensor:
@@ -89,19 +64,6 @@ def leaf(tape: Tape, value) -> Tensor:
     return Tensor(value, tape, requires_grad=True)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 def node(tape: Tape, value, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """The output of one op; recorded on the tape when a parent is trainable.
 
@@ -116,13 +78,6 @@ def node(tape: Tape, value, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def _sweep(nodes: list[Tensor]) -> None:
-    for t in reversed(nodes):
-        if t.grad is None or t._backward is None:
-            continue
-        t._backward(t.grad)
-
-
 def backward(tape: Tape, root: Tensor | None = None, adjoint=1.0) -> None:
     """Reverse sweep seeding the root (default: last recorded node).
 
@@ -130,10 +85,6 @@ def backward(tape: Tape, root: Tensor | None = None, adjoint=1.0) -> None:
     making the sweep a general vector-Jacobian product. An empty tape, or a
     root that nothing trainable feeds, is a no-op: every leaf keeps a zero
     (None) gradient.
-
-    The nodes after the tape's branches are swept first, on this thread.
-    The branches follow, side by side where _rows.side_by_side runs them at
-    once, and the nodes before them last.
     """
     if not tape.nodes:
         return
@@ -141,16 +92,10 @@ def backward(tape: Tape, root: Tensor | None = None, adjoint=1.0) -> None:
         root = tape.nodes[-1]
     if not root.requires_grad:
         return
-    seed = np.asarray(adjoint, dtype=root.value.dtype)
-    root._accumulate(seed)
-    if not tape.branches:
-        return _sweep(tape.nodes)
-    first, last = tape.branches[0][0], tape.branches[-1][1]
-    _sweep(tape.nodes[last:])
-    _rows.side_by_side(
-        tape.branch_rows, *[partial(_sweep, tape.nodes[lo:hi]) for lo, hi in reversed(tape.branches)]
-    )
-    _sweep(tape.nodes[:first])
+    root._accumulate(np.asarray(adjoint, dtype=root.value.dtype))
+    for t in reversed(tape.nodes):
+        if t.grad is not None and t._backward is not None:
+            t._backward(t.grad)
 
 
 def scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -162,61 +107,6 @@ def scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.n
     rows, width = shape[0], math.prod(shape[1:])
     slots = (idx.reshape(-1, 1) % rows) * width + np.arange(width)
     return np.bincount(slots.ravel(), weights=g.reshape(-1), minlength=rows * width).reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# fused layers of the embedding net
-#
-# Each records one node where the op-by-op composition recorded several, and
-# its backward runs that composition's numpy ops in the same order, so the
-# gradients are bitwise the same.
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
-    """x @ w^T + b, then tanh when activation is "tanh"; w is (out, in), b is (out,)."""
-    value = x.value @ w.value.swapaxes(-1, -2) + b.value
-    if activation == "tanh":
-        value = np.tanh(value)
-
-    def back(g):
-        if activation == "tanh":
-            g = g * (1.0 - value * value)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.value.shape))
-        if x.requires_grad:
-            x._accumulate(g @ w.value)
-        if w.requires_grad:
-            w._accumulate((x.value.swapaxes(-1, -2) @ g).swapaxes(-1, -2))
-
-    return node(x.tape or w.tape, value, (x, w, b), back)
-
-
-def normalize_rows(x: Tensor) -> Tensor:
-    """Each row of x divided by its Euclidean norm.
-
-    A row whose squared norm is zero or not finite raises
-    DegenerateDescriptorError naming the first such row; nothing is divided.
-    """
-    sq = (x.value * x.value).sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(sq)):
-        bad = int(np.flatnonzero(~np.isfinite(sq.ravel()))[0])
-        raise DegenerateDescriptorError(f"non-finite descriptor at row {bad}")
-    if np.any(sq == 0):
-        bad = int(np.flatnonzero(sq.ravel() == 0)[0])
-        raise DegenerateDescriptorError(f"zero-norm descriptor at row {bad}")
-    norm = np.sqrt(sq)
-    value = x.value / norm
-
-    def back(g):
-        # the quotient's two parents, then the norm's sqrt, sum and square x * x
-        x._accumulate(g / norm)
-        g_norm = _unbroadcast(-g * value / norm, norm.shape)
-        g_sq = np.where(sq > 0, 0.5 * g_norm / np.where(sq > 0, norm, 1.0), 0.0)
-        g_xx = np.broadcast_to(g_sq, x.value.shape)
-        x._accumulate(g_xx * x.value)
-        x._accumulate(g_xx * x.value)
-
-    return node(x.tape, value, (x,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import autodiff as ad
 from . import data as datamod
 from . import metrics
 from . import loss as lossmod
@@ -215,10 +214,7 @@ def cmd_inspect(args) -> int:
     # The loss's own graph on constants gives the supports, weights, d_E and
     # d_T; none of them depends on lambda, so it is 1 as at iteration 0.
     structure = lossmod.select_structure(desc_a, desc_p, cfg)
-    tape = ad.Tape()
-    graph = lossmod.build_loss_graph(
-        ad.constant(tape, desc_a), ad.constant(tape, desc_p), 1.0, cfg, structure, tape
-    )
+    graph = lossmod.value_graph(desc_a, desc_p, 1.0, cfg, structure)
     views = (
         ("A", structure.idx_a, graph.weights_a.value),
         ("P", structure.idx_p, graph.weights_p.value),

@@ -1,12 +1,11 @@
 """Central finite-difference verification of the gradients training computes.
 
-The analytic gradients are train.run_step's: the two views' net passes on
-tapes and leaves of their own, swept as the same branches training sweeps,
-and summed by the same code. The discrete structure of the loss (neighbor
-supports, mined negatives, and, in detached mode, the fitted weights
-themselves) is frozen at the base point, so the difference quotient probes
-exactly the function the tape differentiates rather than a function with
-moving selections.
+The analytic gradients are train.run_step's: the loss head's tape sweep,
+then the two views' net backwards, summed by the same code as in training.
+The discrete structure of the loss (neighbor supports, mined negatives,
+and, in detached mode, the fitted weights themselves) is frozen at the base
+point, so the difference quotient probes exactly the function the step
+differentiates rather than a function with moving selections.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import loss as lossmod
 from . import net as netmod
 from .config import RunConfig
@@ -37,9 +35,8 @@ class GradCheckReport:
 
 
 def _frozen_loss(net, patches_a, patches_p, lam, cfg, structure) -> float:
-    tape = ad.Tape()
-    da, dp = (ad.constant(tape, netmod.embed(net, x)) for x in (patches_a, patches_p))
-    return float(lossmod.build_loss_graph(da, dp, lam, cfg, structure, tape).loss.value)
+    da, dp = netmod.embed(net, patches_a), netmod.embed(net, patches_p)
+    return float(lossmod.value_graph(da, dp, lam, cfg, structure).loss.value)
 
 
 def grad_check(

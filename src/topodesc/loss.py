@@ -348,6 +348,17 @@ def build_loss_graph(
     )
 
 
+def value_graph(
+    va: np.ndarray, vp: np.ndarray, lam: float, cfg: RunConfig, structure: LossStructure
+) -> LossGraph:
+    """build_loss_graph on fixed descriptor arrays, entered as constants: values only.
+
+    Nothing is recorded, so the graph's tensors carry no gradient.
+    """
+    tape = ad.Tape()
+    return build_loss_graph(ad.constant(tape, va), ad.constant(tape, vp), lam, cfg, structure, tape)
+
+
 def batch_loss(
     va: np.ndarray,
     vp: np.ndarray,
@@ -361,9 +372,4 @@ def batch_loss(
     differentiated, so "through-weights" and "detached" report the same loss.
     """
     lam = resolve_lambda(iteration, cfg)
-    structure = select_structure(va, vp, cfg)
-    tape = ad.Tape()
-    graph = build_loss_graph(
-        ad.constant(tape, va), ad.constant(tape, vp), lam, cfg, structure, tape
-    )
-    return graph.report
+    return value_graph(va, vp, lam, cfg, select_structure(va, vp, cfg)).report

@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .errors import DatasetFormatError, InvalidInputError
+from .errors import DatasetFormatError, DegenerateDescriptorError, InvalidInputError
 
 CHECKPOINT_MAGIC = b"TCD1"
 
@@ -76,26 +75,31 @@ def parameters(net: EmbeddingNet) -> dict[str, np.ndarray]:
     return params
 
 
-def make_leaves(net: EmbeddingNet, tape: ad.Tape, trainable: bool = True) -> dict[str, ad.Tensor]:
-    """One graph node per parameter array, shared across forward calls."""
-    mk = ad.leaf if trainable else ad.constant
-    return {name: mk(tape, p) for name, p in parameters(net).items()}
+def _dense_backward(g, x, w, y, activation: str, first: bool):
+    """One layer's (input, weight, bias) gradients from the adjoint g of its output y.
+
+    The layer computed y = x @ w^T + b, then tanh when activation is
+    "tanh". The input's gradient is None for the first layer, whose input
+    is the patches.
+    """
+    if activation == "tanh":
+        g = g * (1.0 - y * y)
+    g_x = None if first else g @ w
+    return g_x, (x.swapaxes(-1, -2) @ g).swapaxes(-1, -2), g.sum(axis=0)
 
 
-def forward(
-    net: EmbeddingNet,
-    patches: np.ndarray,
-    tape: ad.Tape,
-    leaves: dict[str, ad.Tensor],
-) -> ad.Tensor:
-    """Build the (n, output_dim) descriptor graph for a batch of patch vectors.
+def forward(net: EmbeddingNet, patches: np.ndarray):
+    """(descriptors, backward) for a batch of patch vectors.
 
-    `leaves` are the parameter nodes from make_leaves; passing the same ones
-    to both calls of a step shares the parameters between the anchor and
-    positive branches.
+    descriptors is the (n, output_dim) array of unit-norm rows. backward(g)
+    takes the descriptors' adjoint and returns each parameter's gradient by
+    name (parameters); it replays, op for op and in the same order, the
+    backward sweep of the net recorded node by node on an autodiff tape, so
+    its gradients are bitwise those of that sweep.
 
-    Raises DegenerateDescriptorError if any pre-normalization row is zero or
-    non-finite, since such a row cannot be placed on the unit sphere.
+    Raises DegenerateDescriptorError naming the first pre-normalization row
+    that is zero or non-finite, since such a row cannot be placed on the
+    unit sphere.
     """
     patches = np.asarray(patches)
     if patches.ndim != 2 or patches.shape[1] != net.input_dim:
@@ -104,16 +108,46 @@ def forward(
         )
     if not np.all(np.isfinite(patches)):
         raise InvalidInputError("patches contain non-finite values")
-    x = ad.constant(tape, patches.astype(net.dtype, copy=False))
-    for i, tag in enumerate(net.activations):
-        x = ad.dense(x, leaves[f"layer{i}.weight"], leaves[f"layer{i}.bias"], tag)
-    return ad.normalize_rows(x)
+    layers = list(zip(net.weights, net.biases, net.activations))
+    x = patches.astype(net.dtype, copy=False)
+    inputs, outputs = [], []
+    for w, b, activation in layers:
+        inputs.append(x)
+        x = x @ w.swapaxes(-1, -2) + b
+        if activation == "tanh":
+            x = np.tanh(x)
+        outputs.append(x)
+    sq = (x * x).sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(sq)):
+        bad = int(np.flatnonzero(~np.isfinite(sq.ravel()))[0])
+        raise DegenerateDescriptorError(f"non-finite descriptor at row {bad}")
+    if np.any(sq == 0):
+        bad = int(np.flatnonzero(sq.ravel() == 0)[0])
+        raise DegenerateDescriptorError(f"zero-norm descriptor at row {bad}")
+    norm = np.sqrt(sq)
+    desc = x / norm
+
+    def backward(g: np.ndarray) -> dict[str, np.ndarray]:
+        # the quotient's two parents, then the norm's sqrt (every sq > 0) and
+        # sum, then the square x * x, whose two factors each add g_sq * x
+        g_sq = 0.5 * (-g * desc / norm).sum(axis=1, keepdims=True) / norm
+        g = g / norm
+        g += g_sq * x
+        g += g_sq * x
+        grads = {}
+        for i in reversed(range(len(layers))):
+            w, _, activation = layers[i]
+            g, grads[f"layer{i}.weight"], grads[f"layer{i}.bias"] = _dense_backward(
+                g, inputs[i], w, outputs[i], activation, i == 0
+            )
+        return grads
+
+    return desc, backward
 
 
 def embed(net: EmbeddingNet, patches: np.ndarray) -> np.ndarray:
     """Plain forward pass: unit-norm descriptors as a numpy array."""
-    tape = ad.Tape()
-    return forward(net, patches, tape, make_leaves(net, tape, trainable=False)).value
+    return forward(net, patches)[0]
 
 
 def sgd_step(

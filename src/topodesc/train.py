@@ -76,56 +76,42 @@ def training_split(cfg: RunConfig, dataset: datamod.DatasetFile) -> datamod.Data
     return train_ds
 
 
-# The positive view's net pass runs on a worker thread. perfbench's tracer
-# replaces netmod.forward with a wrapper whose one span stack only the
+# The positive view's forward and backward run on a worker thread. perfbench's
+# tracer replaces netmod.forward with a wrapper whose one span stack only the
 # calling thread may touch, so the worker calls the function bound here.
 _untraced_forward = netmod.forward
-
-
-def _view(net: netmod.EmbeddingNet, patches: np.ndarray, forward):
-    """One view's net pass on a tape and leaves of its own: (tape, leaves, descriptors)."""
-    tape = ad.Tape()
-    leaves = netmod.make_leaves(net, tape)
-    return tape, leaves, forward(net, patches, tape, leaves)
-
-
-def _summed_grads(leaves_a: dict, leaves_p: dict) -> dict:
-    """Each parameter's gradient over both views, summed as one shared leaf would sum it.
-
-    A shared leaf's backward sweep reaches the positive view's nodes first,
-    since they were recorded last: it copies their gradient, then adds the
-    anchor view's. Every leaf has a gradient, since the loss reads both views.
-    """
-    return {name: leaf.grad + leaves_a[name].grad for name, leaf in leaves_p.items()}
 
 
 def run_step(net: netmod.EmbeddingNet, batch_a: np.ndarray, batch_p: np.ndarray, lam: float, cfg: RunConfig):
     """The one training step's structure, loss graph and parameter gradients.
 
-    Each view's net pass records on a tape and leaves of its own, joined
-    onto the step's tape as a branch (autodiff.Tape.join). At a batch that
-    _rows splits, the positive view's pass runs on a pool worker while this
-    thread runs the anchor's, and the backward sweep runs the two branches
-    side by side after the loss nodes. The gradients are summed as one
-    shared set of leaves would sum them, so they are bitwise those of a
-    one-thread sweep. When both views degenerate, the anchor view's error
-    is raised. A non-finite loss raises FloatingPointError before the sweep.
+    The two views' net passes (netmod.forward) run side by side where _rows
+    splits the batch, the positive view's on a pool worker, and so do their
+    backwards. The step's tape records only the loss head, on the two
+    descriptor arrays as leaves; each view's backward takes its leaf's
+    gradient. Each parameter's gradient is the positive view's plus the
+    anchor view's, summed as one shared parameter node's backward sweep
+    would sum them, so they are bitwise those of one op-by-op tape. When
+    both views degenerate, the anchor view's error is raised. A non-finite
+    loss raises FloatingPointError before any backward runs.
     """
-    tape = ad.Tape()
-    (tape_a, leaves_a, desc_a), (tape_p, leaves_p, desc_p) = _rows.side_by_side(
-        len(batch_a),
-        partial(_view, net, batch_a, netmod.forward),
-        partial(_view, net, batch_p, _untraced_forward),
+    rows = len(batch_a)
+    (desc_a, backward_a), (desc_p, backward_p) = _rows.side_by_side(
+        rows, partial(netmod.forward, net, batch_a), partial(_untraced_forward, net, batch_p)
     )
-    tape.join(len(batch_a), tape_a, tape_p)
-    structure = lossmod.select_structure(desc_a.value, desc_p.value, cfg)
-    graph = lossmod.build_loss_graph(desc_a, desc_p, lam, cfg, structure, tape)
+    tape = ad.Tape()
+    leaf_a, leaf_p = ad.leaf(tape, desc_a), ad.leaf(tape, desc_p)
+    structure = lossmod.select_structure(desc_a, desc_p, cfg)
+    graph = lossmod.build_loss_graph(leaf_a, leaf_p, lam, cfg, structure, tape)
     if not np.isfinite(graph.loss.value):
         raise FloatingPointError(f"loss is {float(graph.loss.value)!r}")
     ad.backward(tape, graph.loss)
     # Tensor.tape and Tape.nodes form a cycle; break it so the graph is freed with its last reference.
     tape.nodes.clear()
-    return structure, graph, _summed_grads(leaves_a, leaves_p)
+    grads_a, grads_p = _rows.side_by_side(
+        rows, partial(backward_a, leaf_a.grad), partial(backward_p, leaf_p.grad)
+    )
+    return structure, graph, {name: g + grads_a[name] for name, g in grads_p.items()}
 
 
 def run_training(cfg: RunConfig, dataset: datamod.DatasetFile) -> TrainResult:

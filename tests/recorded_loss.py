@@ -24,14 +24,27 @@ from topodesc import loss as L
 from topodesc import topology
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to the operand's shape."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
 def add(a, b):
     value = a.value + b.value
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(ad._unbroadcast(g, a.value.shape))
+            a._accumulate(_unbroadcast(g, a.value.shape))
         if b.requires_grad:
-            b._accumulate(ad._unbroadcast(g, b.value.shape))
+            b._accumulate(_unbroadcast(g, b.value.shape))
 
     return ad.node(a.tape or b.tape, value, (a, b), back)
 
@@ -41,9 +54,9 @@ def sub(a, b):
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(ad._unbroadcast(g, a.value.shape))
+            a._accumulate(_unbroadcast(g, a.value.shape))
         if b.requires_grad:
-            b._accumulate(ad._unbroadcast(-g, b.value.shape))
+            b._accumulate(_unbroadcast(-g, b.value.shape))
 
     return ad.node(a.tape or b.tape, value, (a, b), back)
 
@@ -53,9 +66,9 @@ def mul(a, b):
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(ad._unbroadcast(g * b.value, a.value.shape))
+            a._accumulate(_unbroadcast(g * b.value, a.value.shape))
         if b.requires_grad:
-            b._accumulate(ad._unbroadcast(g * a.value, b.value.shape))
+            b._accumulate(_unbroadcast(g * a.value, b.value.shape))
 
     return ad.node(a.tape or b.tape, value, (a, b), back)
 
@@ -65,9 +78,9 @@ def matmul(a, b):
 
     def back(g):
         if a.requires_grad:
-            a._accumulate(ad._unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape))
+            a._accumulate(_unbroadcast(g @ b.value.swapaxes(-1, -2), a.value.shape))
         if b.requires_grad:
-            b._accumulate(ad._unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape))
+            b._accumulate(_unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape))
 
     return ad.node(a.tape or b.tape, value, (a, b), back)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topodesc import autodiff as ad
-from topodesc.errors import DegenerateDescriptorError, SingularSystemError
+from topodesc.errors import SingularSystemError
 
 from recorded_loss import abs_, add, clip, matmul, mul, relu, reshape, sqrt_, sub, sum_, take
 from recorded_net import div, tanh_, transpose
@@ -85,30 +85,6 @@ class TestElementwise:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((3, 3))
         check(lambda tape, x: sum_(tanh_(x)), a)
-
-    @pytest.mark.parametrize("activation", ["tanh", "linear"])
-    def test_dense(self, activation):
-        rng = np.random.default_rng(30)
-        x, w, b = rng.standard_normal((5, 3)), rng.standard_normal((4, 3)), rng.standard_normal(4)
-
-        def fn(tape, x, w, b):
-            y = ad.dense(x, w, b, activation)
-            return sum_(mul(y, y))
-
-        check(fn, x, w, b)
-
-    def test_normalize_rows(self):
-        rng = np.random.default_rng(31)
-        x = rng.standard_normal((4, 3))
-        weights = rng.standard_normal((4, 3))
-        check(lambda tape, x: sum_(mul(ad.normalize_rows(x), ad.constant(tape, weights))), x)
-
-    @pytest.mark.parametrize("row, message", [(1, "zero-norm descriptor at row 1"), (2, "non-finite")])
-    def test_normalize_rows_rejects_what_it_cannot_divide(self, row, message):
-        x = np.ones((3, 2))
-        x[row] = 0.0 if message.startswith("zero") else np.inf
-        with pytest.raises(DegenerateDescriptorError, match=message):
-            ad.normalize_rows(ad.constant(ad.Tape(), x))
 
     def test_sqrt_away_from_zero(self):
         rng = np.random.default_rng(4)

@@ -639,17 +639,13 @@ class TestGradcheckCommand:
         ids=["tanh-2%-off", "nan"],
     )
     def test_crooked_gradient_fails(self, crook, error, monkeypatch, capsys):
-        # the fused layer node's backward with its tanh derivative 2% off, or NaN
-        real_dense = ad.dense
+        # the net's layer backward with its tanh derivative 2% off, or NaN, in both views
+        real_backward = netmod._dense_backward
 
-        def crooked(x, w, b, activation):
-            out = real_dense(x, w, b, activation)
-            if activation == "tanh" and out._backward is not None:
-                back = out._backward
-                out._backward = lambda g: back(crook(g))
-            return out
+        def crooked(g, x, w, y, activation, first):
+            return real_backward(crook(g) if activation == "tanh" else g, x, w, y, activation, first)
 
-        monkeypatch.setattr(ad, "dense", crooked)
+        monkeypatch.setattr(netmod, "_dense_backward", crooked)
         assert cli.main(["gradcheck", "--seed", "0"]) == 1
         captured = capsys.readouterr()
         assert "gradcheck failed" in captured.err

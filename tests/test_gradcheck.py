@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from topodesc import autodiff as ad
-from topodesc import gradcheck, train
+from topodesc import gradcheck
 from topodesc import loss as lossmod
 from topodesc import net as netmod
 from topodesc.config import RunConfig
@@ -23,19 +22,17 @@ def make_problem(mode, seed=0):
 
 
 def crook_hidden_layers(monkeypatch, crook):
-    """Patch ad.dense so each recorded tanh layer's backward gets crook(g); returns those layers."""
-    real_dense = ad.dense
+    """Patch net._dense_backward so each tanh layer's backward gets crook(g); returns the crooked calls."""
+    real_backward = netmod._dense_backward
     crooked_layers = []
 
-    def crooked(x, w, b, activation):
-        out = real_dense(x, w, b, activation)
-        if activation == "tanh" and out._backward is not None:
-            back = out._backward
-            out._backward = lambda g: back(crook(g))
-            crooked_layers.append(out)
-        return out
+    def crooked(g, x, w, y, activation, first):
+        if activation == "tanh":
+            crooked_layers.append(y)
+            g = crook(g)
+        return real_backward(g, x, w, y, activation, first)
 
-    monkeypatch.setattr(ad, "dense", crooked)
+    monkeypatch.setattr(netmod, "_dense_backward", crooked)
     return crooked_layers
 
 
@@ -69,7 +66,7 @@ class TestGradCheck:
         assert a == b
 
     def test_crooked_derivative_is_caught(self, monkeypatch):
-        # the fused layer node that training records, with its tanh
+        # the net's layer backward that training runs, with its tanh
         # derivative 2% off: the difference quotient probes the true
         # function, so the check must report an error well above tolerance
         crooked_layers = crook_hidden_layers(monkeypatch, lambda g: 1.02 * g)
@@ -108,9 +105,13 @@ class TestGradCheck:
     def test_checks_the_gradients_training_sums(self, monkeypatch, mode):
         # the analytic gradients are training's own: a step that drops the
         # anchor view's share must fail the check
-        monkeypatch.setattr(
-            train, "_summed_grads", lambda leaves_a, leaves_p: {n: t.grad for n, t in leaves_p.items()}
-        )
+        forward = netmod.forward
+
+        def anchor_without_gradient(net, patches):
+            desc, backward = forward(net, patches)
+            return desc, lambda g: {name: np.zeros_like(p) for name, p in backward(g).items()}
+
+        monkeypatch.setattr(netmod, "forward", anchor_without_gradient)  # the positive view's stays
         net, xa, xp, cfg = make_problem(mode)
         report = gradcheck.grad_check(net, xa, xp, cfg, lam=0.5)
         assert report.max_relative_error > 1e-4

@@ -14,6 +14,7 @@ from topodesc.config import RunConfig, resolve_config
 from topodesc.errors import InvalidArgumentError, InvalidBatchError
 
 from recorded_loss import recorded_fit_loss_graph, recorded_loss_graph
+from recorded_net import parameter_leaves, recorded_forward
 from single_fit import fit_one
 
 
@@ -510,9 +511,9 @@ class TestModeEquivalences:
 
         def step(build):
             tape = ad.Tape()
-            leaves = netmod.make_leaves(net, tape)
-            desc_a = netmod.forward(net, patches_a, tape, leaves)
-            desc_p = netmod.forward(net, patches_p, tape, leaves)
+            leaves = parameter_leaves(net, tape)
+            desc_a = recorded_forward(net, patches_a, tape, leaves)
+            desc_p = recorded_forward(net, patches_p, tape, leaves)
             net_nodes = len(tape.nodes)
             st = L.select_structure(desc_a.value, desc_p.value, cfg)
             graph = build(desc_a, desc_p, 1.0, cfg, st, tape)
@@ -544,9 +545,9 @@ class TestModeEquivalences:
 
         def step(build):
             tape = ad.Tape()
-            leaves = netmod.make_leaves(net, tape)
-            desc_a = netmod.forward(net, patches_a, tape, leaves)
-            desc_p = netmod.forward(net, patches_p, tape, leaves)
+            leaves = parameter_leaves(net, tape)
+            desc_a = recorded_forward(net, patches_a, tape, leaves)
+            desc_p = recorded_forward(net, patches_p, tape, leaves)
             st = L.select_structure(desc_a.value, desc_p.value, cfg)
             assert st.gather_a.dtype == st.gather_p.dtype == bool
             graph = build(desc_a, desc_p, 0.5, cfg, st, tape)

@@ -15,7 +15,7 @@ from topodesc.config import RunConfig
 from topodesc.errors import DatasetFormatError, DegenerateDescriptorError, InvalidInputError
 
 from recorded_loss import mul, sub, sum_
-from recorded_net import recorded_forward
+from recorded_net import parameter_leaves, recorded_forward, recorded_step, swept_node_counts
 
 
 def fresh_net(widths=(6, 10, 4), seed=0, dtype=np.float64):
@@ -87,59 +87,96 @@ class TestForward:
         # so seeding backward with the descriptor itself must return ~zero
         net = fresh_net(widths=(6, 12, 8, 4), seed=3)
         x = np.random.default_rng(4).standard_normal((16, 6))
+        desc, backward = nm.forward(net, x)
+        grads = backward(desc)
         tape = ad.Tape()
-        leaves = nm.make_leaves(net, tape)
-        desc = nm.forward(net, x, tape, leaves)
-        ad.backward(tape, desc, adjoint=desc.value)
-        worst = max(float(np.max(np.abs(t.grad))) for t in leaves.values() if t.grad is not None)
-        assert worst <= 1e-8
+        leaves = parameter_leaves(net, tape)
+        ad.backward(tape, recorded_forward(net, x, tape, leaves), adjoint=desc)
+        assert grads.keys() == leaves.keys()
+        for name, g in grads.items():
+            assert g.dtype == desc.dtype and g.tobytes() == leaves[name].grad.tobytes(), name
+        assert max(float(np.max(np.abs(g))) for g in grads.values()) <= 1e-8
 
-    def test_shared_leaves_tie_the_two_branches(self):
+    def test_two_views_sum_like_shared_leaves(self):
         net = fresh_net(seed=5)
         rng = np.random.default_rng(6)
         xa = rng.standard_normal((8, 6))
         xp = rng.standard_normal((8, 6))
+        (da, back_a), (dp, back_p) = nm.forward(net, xa), nm.forward(net, xp)
+        grads_a, grads_p = back_a(2.0 * (da - dp)), back_p(-2.0 * (da - dp))
         tape = ad.Tape()
-        leaves = nm.make_leaves(net, tape)
-        da = nm.forward(net, xa, tape, leaves)
-        dp = nm.forward(net, xp, tape, leaves)
-        out = sum_(mul(sub(da, dp), sub(da, dp)))
-        ad.backward(tape, out)
-        assert all(t.grad is not None for t in leaves.values())
+        leaves = parameter_leaves(net, tape)
+        ra, rp = recorded_forward(net, xa, tape, leaves), recorded_forward(net, xp, tape, leaves)
+        ad.backward(tape, sum_(mul(sub(ra, rp), sub(ra, rp))))
+        assert ra.value.tobytes() == da.tobytes() and rp.value.tobytes() == dp.tobytes()
+        for name, leaf in leaves.items():
+            assert leaf.grad is not None
+            assert (grads_p[name] + grads_a[name]).tobytes() == leaf.grad.tobytes(), name
 
 
-def loss_step(forward, net, xa, xp, lam, mode):
-    """Descriptors, node count and leaf gradients of one step whose views come from forward."""
-    cfg = RunConfig(k=3, topology_gradient_mode=mode)
-    tape = ad.Tape()
-    leaves = nm.make_leaves(net, tape)
-    da = forward(net, xa, tape, leaves)
-    dp = forward(net, xp, tape, leaves)
-    structure = L.select_structure(da.value, dp.value, cfg)
-    graph = L.build_loss_graph(da, dp, lam, cfg, structure, tape)
-    ad.backward(tape, graph.loss)
-    return (da.value, dp.value), len(tape.nodes), {name: t.grad for name, t in leaves.items()}
+def fd_parameter_gradients(net, patches, adjoint, step=1e-6):
+    """Central differences of <adjoint, embed(net, patches)> in every parameter."""
+    grads = {}
+    for name, p in nm.parameters(net).items():
+        grads[name] = np.zeros_like(p)
+        for idx in np.ndindex(p.shape):
+            orig = p[idx]
+            values = []
+            for bumped in (orig + step, orig - step):
+                p[idx] = bumped
+                values.append(float(np.sum(adjoint * nm.embed(net, patches))))
+            p[idx] = orig
+            grads[name][idx] = (values[0] - values[1]) / (2 * step)
+    return grads
+
+
+class TestBackward:
+    """forward's backward against central differences, and what it cannot divide."""
+
+    @pytest.mark.parametrize("widths", [(3, 4), (3, 5, 4)], ids=["linear", "tanh-then-linear"])
+    def test_matches_central_differences(self, widths):
+        rng = np.random.default_rng(30)
+        net = fresh_net(widths, seed=31)
+        x = rng.standard_normal((5, 3))
+        adjoint = rng.standard_normal((5, 4))
+        grads = nm.forward(net, x)[1](adjoint)
+        numeric = fd_parameter_gradients(net, x, adjoint)
+        assert grads.keys() == numeric.keys()
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, numeric[name], rtol=1e-6, atol=1e-8, err_msg=name)
+
+    @pytest.mark.parametrize("row, message", [(1, "zero-norm descriptor at row 1"), (2, "non-finite descriptor at row 2")])
+    def test_rejects_what_it_cannot_divide(self, row, message):
+        # through an identity layer, 1e300 overflows its row's squared norm
+        net = nm.EmbeddingNet(weights=[np.eye(2)], biases=[np.zeros(2)])
+        x = np.ones((3, 2))
+        x[row] = 0.0 if message.startswith("zero") else 1e300
+        with np.errstate(over="ignore"), pytest.raises(DegenerateDescriptorError, match=message):
+            nm.forward(net, x)
 
 
 class TestFusedNodes:
-    """One dense node per layer and one normalize_rows node against the op-by-op forward."""
+    """The step's own net backwards and gradient sum against one op-by-op tape with shared leaves."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("widths", [(6, 10, 4), (6, 12, 9, 5), (6, 3), (6, 8, 1)])
     @pytest.mark.parametrize("lam, mode", [(1.0, "off"), (0.5, "through-weights")])
-    def test_values_and_every_leaf_gradient_are_bitwise_equal(self, dtype, widths, lam, mode):
+    def test_values_and_every_leaf_gradient_are_bitwise_equal(self, monkeypatch, dtype, widths, lam, mode):
         rng = np.random.default_rng(sum(widths))
         net = fresh_net(widths, seed=len(widths), dtype=dtype)
         xa = rng.standard_normal((12, 6)).astype(dtype)
         xp = (xa + 0.3 * rng.standard_normal((12, 6))).astype(dtype)
-        views, nodes, grads = loss_step(nm.forward, net, xa, xp, lam, mode)
-        want_views, want_nodes, want_grads = loss_step(recorded_forward, net, xa, xp, lam, mode)
-        for got, want in zip(views, want_views):
+        cfg = RunConfig(k=3, topology_gradient_mode=mode)
+        (_, want_graph, want_grads), want_nodes, want_views = recorded_step(net, xa, xp, lam, cfg)
+        nodes = swept_node_counts(monkeypatch)
+        _, graph, grads = train.run_step(net, xa, xp, lam, cfg)
+        for got, want in zip((nm.embed(net, xa), nm.embed(net, xp)), want_views):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         layers = len(widths) - 1
         # per view: transpose, matmul, add and tanh per layer (no tanh on the
-        # last) and four nodes to normalize, against one node each
-        assert want_nodes - nodes == 2 * ((4 * layers - 1 + 4) - (layers + 1))
+        # last) and four nodes to normalize, all off the step's tape
+        assert want_nodes - nodes[0] == 2 * (4 * layers - 1 + 4)
+        assert graph.report == want_graph.report
         assert grads.keys() == want_grads.keys()
         for name, got in grads.items():
             want = want_grads[name]
@@ -154,8 +191,7 @@ class TestFusedNodes:
             precision=precision,
         )
         fused = train.run_training(cfg, ds)
-        monkeypatch.setattr(nm, "forward", recorded_forward)
-        monkeypatch.setattr(train, "_untraced_forward", recorded_forward)  # the positive view's pass
+        monkeypatch.setattr(train, "run_step", lambda *args: recorded_step(*args)[0])
         recorded = train.run_training(cfg, ds)
         assert fused.rows == recorded.rows
         for got, want in zip(nm.parameters(fused.net).values(), nm.parameters(recorded.net).values()):
@@ -253,26 +289,14 @@ class TestSgdStep:
         xp = xa + 0.05 * rng.standard_normal((24, 8))
         cfg = RunConfig(k=4)
 
-        def loss_and_grads(do_backward):
-            tape = ad.Tape()
-            leaves = nm.make_leaves(net, tape)
-            da = nm.forward(net, xa, tape, leaves)
-            dp = nm.forward(net, xp, tape, leaves)
-            structure = L.select_structure(da.value, dp.value, cfg)
-            graph = L.build_loss_graph(da, dp, 0.5, cfg, structure, tape)
-            if not do_backward:
-                return float(graph.loss.value), None
-            ad.backward(tape, graph.loss)
-            grads = {
-                name: (t.grad if t.grad is not None else np.zeros_like(t.value))
-                for name, t in leaves.items()
-            }
-            return float(graph.loss.value), grads
-
-        before, grads = loss_and_grads(do_backward=True)
-        nm.sgd_step(net, grads, lr=1e-4, momentum=0.0, weight_decay=0.0)
-        after, _ = loss_and_grads(do_backward=False)
-        assert after <= before + 1e-9
+        (_, graph, grads), _, _ = recorded_step(net, xa, xp, 0.5, cfg)
+        _, got_graph, got_grads = train.run_step(net, xa, xp, 0.5, cfg)
+        assert got_graph.report == graph.report
+        assert all(got_grads[name].tobytes() == g.tobytes() for name, g in grads.items())
+        nm.sgd_step(net, got_grads, lr=1e-4, momentum=0.0, weight_decay=0.0)
+        da, dp = nm.embed(net, xa), nm.embed(net, xp)
+        after = L.value_graph(da, dp, 0.5, cfg, L.select_structure(da, dp, cfg)).report.loss
+        assert after <= graph.report.loss + 1e-9
 
 
 class TestCheckpoint:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from topodesc import _rows, autodiff, config, data, train
-from topodesc import autodiff as ad
 from topodesc import loss as lossmod
 from topodesc import net as netmod
 from topodesc.config import RunConfig
@@ -20,6 +19,7 @@ from topodesc.loss import resolve_lambda
 from topodesc.net import embed
 
 from recorded_loss import recorded_fit_loss_graph
+from recorded_net import recorded_step, swept_node_counts
 
 
 def tiny_dataset(seed=0, scenes=40, dim=6):
@@ -318,43 +318,19 @@ def recording_steps(monkeypatch):
     return steps
 
 
-def one_tape(monkeypatch):
-    """Both views' passes on the step's one tape, with one shared set of leaves.
-
-    Every view's nodes land in a single branch, swept on this thread, and
-    the shared leaves hold the summed gradients: the trainer as it was
-    before each view got its own tape and leaves.
-    """
-    shared = []
-
-    def view(net, patches, forward):
-        if len(shared) % 2 == 0:  # a step's anchor view: a new tape and leaves
-            tape = ad.Tape()
-            shared.append((tape, netmod.make_leaves(net, tape)))
-        else:
-            shared.append(shared[-1])
-        tape, leaves = shared[-1]
-        return tape, leaves, forward(net, patches, tape, leaves)
-
-    monkeypatch.setattr(train, "_view", view)
-    monkeypatch.setattr(
-        train, "_summed_grads", lambda leaves, _: {n: t.grad for n, t in leaves.items() if t.grad is not None}
-    )
-
-
 def trained_on_cpus(monkeypatch, cpus, cfg, ds, oracle=False):
     """(net, rows, each step's gradients) of a run with _rows seeing `cpus` CPUs."""
     with monkeypatch.context() as m:
         m.setattr(_rows, "_cpus", lambda: cpus)
         steps = recording_steps(m)
-        if oracle:
-            one_tape(m)
+        if oracle:  # one op-by-op tape, whose shared leaves sum the two views' gradients
+            m.setattr(train, "run_step", lambda *args: recorded_step(*args)[0])
         result = train.run_training(cfg, ds)
     return result.net, result.rows, steps
 
 
 class TestViewPasses:
-    """Each view's net pass on its own tape and leaves, side by side above the split threshold."""
+    """Each view's net forward and backward, side by side above the split threshold."""
 
     @pytest.mark.parametrize(
         "mode, lambda_mode",
@@ -405,6 +381,29 @@ class TestViewPasses:
         assert str(info.value) == "non-finite descriptor at row 0"
         assert isinstance(info.value.__cause__, DegenerateDescriptorError)
         assert info.value.last_good_iteration == -1
+
+
+class TestStepTape:
+    """The step's tape records the loss head only; the net passes run off it."""
+
+    @pytest.mark.parametrize(
+        "settings, nodes",
+        [
+            ({"topology_gradient_mode": "off"}, 2),
+            # lambda = 1 until iteration 4: the steps between reports run as "off" steps
+            ({"topology_report_every": 3, "iterations": 4}, 2),
+            ({"lambda_mode": "fixed:1.0"}, 2),
+            ({"topology_gradient_mode": "detached", "lambda_mode": "fixed:0.5"}, 2),
+            # pair distances, the two views' fits, d_T and the hinge
+            ({"lambda_mode": "fixed:0.5"}, 5),
+        ],
+        ids=["off", "plain", "lambda-one", "detached", "through-weights"],
+    )
+    def test_node_count(self, monkeypatch, settings, nodes):
+        cfg = tiny_config(**settings)
+        counts = swept_node_counts(monkeypatch)
+        train.run_training(cfg, dataset=tiny_dataset())
+        assert counts == [nodes] * cfg.iterations
 
 
 class TestLog:
